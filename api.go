@@ -289,30 +289,28 @@ func (a *Auditor) WithSeed(seed int64) *Auditor {
 }
 
 // WithParallelism enables the concurrent audit engine: multi-group
-// audits schedule independent super-group audits (and covered-penalty
-// re-audits) across a worker pool of at most parallelism goroutines,
-// and sampling HITs post as one batched round. Values <= 1 keep the
-// sequential engine. The oracle must be safe for concurrent use; with
-// an order-independent oracle (TruthOracle, a stateless crowd bridge)
-// verdicts and task counts match the sequential engine exactly.
+// audits run independent super-group audits (and covered-penalty
+// re-audits) as tasks advancing in deterministic lockstep rounds, each
+// round's queries committing to the oracle as one batch in canonical
+// (super-group, member, query-sequence) order, and sampling HITs post
+// as one batched round; parallelism bounds the pool that lifts oracles
+// without native batching into those rounds. Values <= 1 keep the
+// sequential engine. The oracle must be safe for concurrent use and
+// should answer batches in request order (SimulatedCrowd and
+// TruthOracle do; see core.BatchOracle): verdicts, task counts and
+// spend are then bit-identical at every value above 1, even when the
+// oracle's answers depend on query order (the simulated crowd), and
+// with an order-independent oracle (TruthOracle, a stateless crowd
+// bridge) they match the sequential engine exactly.
 func (a *Auditor) WithParallelism(parallelism int) *Auditor {
 	a.parallelism = parallelism
 	return a
 }
 
-// WithLockstep replaces the free-running worker pool with the
-// deterministic lockstep scheduler: concurrent audits advance in
-// virtual rounds, each round's queries commit to the oracle as one
-// batch in canonical (super-group, member, query-sequence) order, and
-// the schedule is independent of the parallelism setting. Use it when
-// the oracle's answers depend on query order — the simulated crowd,
-// whose worker draws advance an RNG per HIT — and reproducibility
-// across parallelism levels matters: verdicts, task counts and spend
-// are then bit-identical at every WithParallelism value. The oracle
-// should answer batches in request order (SimulatedCrowd and
-// TruthOracle do; see core.BatchOracle). Order-independent oracles
-// additionally reproduce the sequential engine exactly, and batched
-// rounds preserve most of the concurrent engine's latency win.
+// WithLockstep runs the lockstep rounds of WithParallelism at
+// parallelism <= 1 too; it matters only there. Use it when an
+// order-dependent oracle (the simulated crowd) must give the same
+// answers at width 1 as at every other width.
 func (a *Auditor) WithLockstep() *Auditor {
 	a.lockstep = true
 	return a
@@ -344,7 +342,7 @@ func (a *Auditor) WithRetry(policy RetryPolicy) *Auditor {
 // control for a customer's spend cap. An audit that hits the cap
 // returns a deterministic partial result (result Exhausted flags,
 // unsettled groups carrying best-effort bounds) instead of an error;
-// under WithLockstep the exhaustion point, partial verdicts, task
+// on the lockstep engine the exhaustion point, partial verdicts, task
 // counts and ledger spend are byte-identical at every WithParallelism
 // value. Like WithCache, the governor wraps the oracle stack as built
 // so far: call WithBudget before WithCache to let cache hits answer
@@ -528,12 +526,11 @@ func (a *Auditor) AuditIntersectional(ids []ObjectID, s *Schema) (*Intersectiona
 // WithParallelism the audit runs on the batched round engine — the
 // precision sample posts as one point-query round, the Label phase as
 // bounded rounds with a deterministic early stop, and the Partition
-// phase as one reverse-set round per tree level — and with
-// WithLockstep those rounds commit through the deterministic
-// scheduler, making the full result bit-identical at every
-// WithParallelism value even through the order-dependent simulated
-// crowd. Results equal the sequential engine exactly for
-// order-independent oracles.
+// phase as one reverse-set round per tree level — and those rounds
+// commit through the deterministic lockstep scheduler, making the full
+// result bit-identical at every WithParallelism value above 1 even
+// through the order-dependent simulated crowd. Results equal the sequential engine
+// exactly for order-independent oracles.
 func (a *Auditor) AuditWithClassifier(ids, predicted []ObjectID, g Group) (ClassifierResult, error) {
 	return core.ClassifierCoverage(a.oracle, ids, predicted, a.setSize, a.tau, g,
 		core.ClassifierOptions{

@@ -253,11 +253,11 @@ func BenchmarkTrialRunnerLatencyParallel4(b *testing.B) { benchmarkTrialRunnerLa
 func BenchmarkTrialRunnerLatencyParallel8(b *testing.B) { benchmarkTrialRunnerLatency(b, 8) }
 
 // benchmarkMultipleLatency measures ONE Multiple-Coverage audit under
-// per-HIT latency on the chosen engine — the wall-clock the lockstep
-// scheduler must preserve: its virtual rounds commit as batches whose
-// round-trips overlap across the pool, so determinism does not cost
-// the concurrency win.
-func benchmarkMultipleLatency(b *testing.B, parallelism int, lockstep bool) {
+// per-HIT latency at the chosen engine width — the wall-clock the
+// lockstep scheduler must deliver: its virtual rounds commit as
+// batches whose round-trips overlap across the pool, so determinism
+// does not cost the concurrency win.
+func benchmarkMultipleLatency(b *testing.B, parallelism int) {
 	schema, err := NewSchema(
 		Attribute{Name: "group", Values: []string{"g0", "g1", "g2", "g3"}},
 	)
@@ -275,9 +275,6 @@ func benchmarkMultipleLatency(b *testing.B, parallelism int, lockstep bool) {
 	for i := 0; i < b.N; i++ {
 		oracle := core.DelayOracle{Inner: core.NewTruthOracle(ds), Delay: 300 * time.Microsecond}
 		auditor := NewAuditor(oracle, 50, 25).WithSeed(benchSeed).WithParallelism(parallelism)
-		if lockstep {
-			auditor = auditor.WithLockstep()
-		}
 		if _, err := auditor.AuditGroups(ids, groups); err != nil {
 			b.Fatal(err)
 		}
@@ -286,26 +283,22 @@ func benchmarkMultipleLatency(b *testing.B, parallelism int, lockstep bool) {
 
 // BenchmarkMultipleLatencySequential is the sequential Algorithm 2
 // baseline: every HIT pays its full round-trip in series.
-func BenchmarkMultipleLatencySequential(b *testing.B) { benchmarkMultipleLatency(b, 1, false) }
+func BenchmarkMultipleLatencySequential(b *testing.B) { benchmarkMultipleLatency(b, 1) }
 
 // BenchmarkMultipleLatencyLockstep4 runs the identical audit on the
 // lockstep scheduler at parallelism 4 (>= 2x wall-clock win with
 // bit-identical results at any width).
-func BenchmarkMultipleLatencyLockstep4(b *testing.B) { benchmarkMultipleLatency(b, 4, true) }
-
-// BenchmarkMultipleLatencyFree4 is the free-running engine at the same
-// width, the ceiling lockstep is measured against.
-func BenchmarkMultipleLatencyFree4(b *testing.B) { benchmarkMultipleLatency(b, 4, false) }
+func BenchmarkMultipleLatencyLockstep4(b *testing.B) { benchmarkMultipleLatency(b, 4) }
 
 // benchmarkClassifierLatency measures ONE Classifier-Coverage audit
-// under per-HIT latency on the chosen engine. The workload is the
+// under per-HIT latency at the chosen engine width. The workload is the
 // paper's precise-classifier regime (Table 2 FERET rows): a large
 // predicted set whose precision sample dominates the sequential
 // wall-clock, followed by a Partition phase whose first frontier is a
 // wide reverse-set round — both phases the batched engine overlaps
 // across the pool while committing the sequential engine's exact task
 // breakdown.
-func benchmarkClassifierLatency(b *testing.B, parallelism int, lockstep bool) {
+func benchmarkClassifierLatency(b *testing.B, parallelism int) {
 	ds, err := GenerateBinary(2_000, 400, benchSeed)
 	if err != nil {
 		b.Fatal(err)
@@ -320,9 +313,6 @@ func benchmarkClassifierLatency(b *testing.B, parallelism int, lockstep bool) {
 	for i := 0; i < b.N; i++ {
 		oracle := core.DelayOracle{Inner: core.NewTruthOracle(ds), Delay: 300 * time.Microsecond}
 		auditor := NewAuditor(oracle, 50, 25).WithSeed(benchSeed).WithParallelism(parallelism)
-		if lockstep {
-			auditor = auditor.WithLockstep()
-		}
 		if _, err := auditor.AuditWithClassifier(ids, predicted, g); err != nil {
 			b.Fatal(err)
 		}
@@ -332,16 +322,12 @@ func benchmarkClassifierLatency(b *testing.B, parallelism int, lockstep bool) {
 // BenchmarkClassifierLatencySequential is the sequential Algorithm 4/5
 // baseline: every sampling and cleanup HIT pays its full round-trip in
 // series.
-func BenchmarkClassifierLatencySequential(b *testing.B) { benchmarkClassifierLatency(b, 1, false) }
+func BenchmarkClassifierLatencySequential(b *testing.B) { benchmarkClassifierLatency(b, 1) }
 
 // BenchmarkClassifierLatencyLockstep4 runs the identical audit on the
 // batched round engine with lockstep commits at parallelism 4 (>= 2x
 // wall-clock win with bit-identical results at any width).
-func BenchmarkClassifierLatencyLockstep4(b *testing.B) { benchmarkClassifierLatency(b, 4, true) }
-
-// BenchmarkClassifierLatencyFree4 is the free-running batched engine
-// at the same width.
-func BenchmarkClassifierLatencyFree4(b *testing.B) { benchmarkClassifierLatency(b, 4, false) }
+func BenchmarkClassifierLatencyLockstep4(b *testing.B) { benchmarkClassifierLatency(b, 4) }
 
 // --- micro-benchmarks of the core machinery --------------------------------
 

@@ -11,7 +11,6 @@
 //	cvgbench -exp table1 -seed 42 -trials 5
 //	cvgbench -exp all -trial-parallelism 8
 //	cvgbench -exp all -json BENCH_core.json -baseline
-//	cvgbench -exp all -lockstep
 //	cvgbench -exp lockstep-latency -json BENCH_core.json -fail-regression 20
 package main
 
@@ -81,11 +80,10 @@ type benchRun struct {
 	SHA string `json:"sha,omitempty"`
 	// Time is the run's UTC timestamp, RFC 3339.
 	Time string `json:"time"`
-	// Seed, Trials, TrialParallelism and Lockstep echo the flags.
+	// Seed, Trials and TrialParallelism echo the flags.
 	Seed             int64 `json:"seed"`
 	Trials           int   `json:"trials"`
 	TrialParallelism int   `json:"trial_parallelism"`
-	Lockstep         bool  `json:"lockstep,omitempty"`
 	// Records holds one entry per experiment run.
 	Records []benchRecord `json:"records"`
 }
@@ -164,16 +162,16 @@ func loadHistory(path string) ([]benchRun, error) {
 // worstRegression compares the current run's records against the
 // history's previous run and returns the largest ns/op increase in
 // percent, with the offending experiment id. Runs are only comparable
-// when they were measured the same way — same trial-parallelism and
-// lockstep setting at the run level (NsPerOp shrinks roughly linearly
-// with the pool width), same seed and trial count per record; ok is
-// false when nothing is.
+// when they were measured the same way — same trial-parallelism at
+// the run level (NsPerOp shrinks roughly linearly with the pool
+// width), same seed and trial count per record; ok is false when
+// nothing is.
 func worstRegression(history []benchRun, current benchRun) (pct float64, id string, ok bool) {
 	if len(history) == 0 {
 		return 0, "", false
 	}
 	prev := history[len(history)-1]
-	if prev.TrialParallelism != current.TrialParallelism || prev.Lockstep != current.Lockstep {
+	if prev.TrialParallelism != current.TrialParallelism {
 		return 0, "", false
 	}
 	prevByID := make(map[string]benchRecord, len(prev.Records))
@@ -265,8 +263,7 @@ func run(args []string, out, errOut io.Writer) int {
 		seed      = fs.Int64("seed", 42, "base random seed")
 		trials    = fs.Int("trials", 3, "repetitions averaged per configuration")
 		trialPar  = fs.Int("trial-parallelism", 1, "trial-runner worker pool width (1 = sequential harness; results are identical at any width)")
-		lockstep  = fs.Bool("lockstep", false, "run every audit on the deterministic lockstep scheduler (bit-identical artifacts across the engine-parallelism axis, order-dependent oracles included)")
-		enginePar = fs.Int("engine-parallelism", 0, "override the audit engine's worker pool width inside each trial of the experiments with a fixed engine width (table2, classifier-strategy, figure7e-h); 0 keeps their defaults, and experiments that sweep parallelism themselves (sweep, lockstep-latency) keep their own axes — artifacts are identical at any width")
+		enginePar = fs.Int("engine-parallelism", 0, "override the audit engine's width inside each trial of the experiments with a fixed engine width (table2, classifier-strategy, figure7e-h; above 1 the audits run in lockstep rounds); 0 keeps their defaults, and experiments that sweep parallelism themselves (sweep, lockstep-latency) keep their own axes — artifacts are identical at any width")
 		list      = fs.Bool("list", false, "list available experiments and exit")
 		jsonPath  = fs.String("json", "", "append benchmark records (ns/op, HIT counts) to a JSON history keyed by git SHA + timestamp, e.g. BENCH_core.json")
 		baseline  = fs.Bool("baseline", false, "with -json: report deltas against the history's previous run")
@@ -296,7 +293,7 @@ func run(args []string, out, errOut io.Writer) int {
 
 	timing := experiment.NewRecorder()
 	opts := sim.Options{Seed: *seed, Trials: *trials, Parallelism: *trialPar,
-		Lockstep: *lockstep, EngineParallelism: *enginePar, Timing: timing}
+		EngineParallelism: *enginePar, Timing: timing}
 
 	for _, dir := range []string{*cpuProf, *memProf} {
 		if dir != "" {
@@ -415,7 +412,7 @@ func run(args []string, out, errOut io.Writer) int {
 		current := benchRun{
 			SHA:  gitSHA(),
 			Time: time.Now().UTC().Format(time.RFC3339),
-			Seed: *seed, Trials: *trials, TrialParallelism: *trialPar, Lockstep: *lockstep,
+			Seed: *seed, Trials: *trials, TrialParallelism: *trialPar,
 			Records: records,
 		}
 		regressed := false

@@ -205,7 +205,7 @@ func TestBadFlag(t *testing.T) {
 }
 
 // TestWorstRegression pins the comparison the CI gate rides on: only
-// runs measured the same way (trial-parallelism, lockstep) and records
+// runs measured the same way (trial-parallelism) and records
 // with the same seed and trial count are comparable, and the worst
 // ns/op increase wins.
 func TestWorstRegression(t *testing.T) {
@@ -233,17 +233,12 @@ func TestWorstRegression(t *testing.T) {
 	if _, _, ok := worstRegression(nil, current); ok {
 		t.Error("empty history must not be comparable")
 	}
-	// A previous run on a wider trial pool (or the lockstep engine) is
-	// not comparable: NsPerOp scales with the pool width.
+	// A previous run on a wider trial pool is not comparable: NsPerOp
+	// scales with the pool width.
 	wider := current
 	wider.TrialParallelism = 4
 	if _, _, ok := worstRegression(history, wider); ok {
 		t.Error("runs with different trial-parallelism must not be comparable")
-	}
-	locked := current
-	locked.Lockstep = true
-	if _, _, ok := worstRegression(history, locked); ok {
-		t.Error("runs with different lockstep settings must not be comparable")
 	}
 }
 

@@ -9,8 +9,8 @@
 //	cvgrun -data feret.json -mode base -group "1"
 //	cvgrun -data faces.json -mode intersectional -crowd
 //	cvgrun -data faces.json -mode attribute -attr gender
-//	cvgrun -data faces.json -mode attribute -crowd -parallelism 8 -lockstep
-//	cvgrun -data faces.json -mode classifier -group "1" -accuracy 0.95 -precision 0.9 -parallelism 4 -lockstep
+//	cvgrun -data faces.json -mode attribute -crowd -parallelism 8
+//	cvgrun -data faces.json -mode classifier -group "1" -accuracy 0.95 -precision 0.9 -parallelism 4
 //	cvgrun -data faces.json -mode attribute -crowd -lockstep -max-hits 200
 //	cvgrun -data faces.json -mode group -group "1" -crowd -lockstep -max-spend 25.00
 //	cvgrun -data faces.json -mode attribute -crowd -journal audit.jnl
@@ -64,8 +64,8 @@ func run(args []string, out, errOut io.Writer) (code int) {
 		n         = fs.Int("n", 50, "set-query size upper bound")
 		seed      = fs.Int64("seed", 1, "random seed")
 		useCrowd  = fs.Bool("crowd", false, "audit through the simulated crowd instead of ground truth")
-		par       = fs.Int("parallelism", 1, "worker pool size of the concurrent audit engine (<=1 sequential)")
-		lockstep  = fs.Bool("lockstep", false, "schedule concurrent audits in deterministic lockstep rounds (bit-identical results at any -parallelism, even through the order-dependent simulated crowd)")
+		par       = fs.Int("parallelism", 1, "width of the concurrent audit engine, which runs deterministic lockstep rounds (bit-identical results at any width above 1, even through the order-dependent simulated crowd); <=1 sequential")
+		lockstep  = fs.Bool("lockstep", false, "run the lockstep rounds at -parallelism 1 too, so width 1 matches every other width")
 		cache     = fs.Bool("cache", false, "deduplicate identical HITs with a query cache")
 		maxHITs   = fs.Int("max-hits", 0, "cap the committed crowd HITs; the audit returns a deterministic partial verdict when the cap is hit (0 = unlimited)")
 		maxSpend  = fs.Float64("max-spend", 0, "cap the committed crowd spend; with -crowd priced by the deployment's cost model (assignments x price + fee), otherwise one unit per HIT (0 = unlimited)")
@@ -358,6 +358,11 @@ func run(args []string, out, errOut io.Writer) (code int) {
 	return 0
 }
 
+// readHeaderTimeout bounds how long a -serve client may take to send
+// its request headers, so slow or stalled connections cannot pin
+// server goroutines indefinitely.
+const readHeaderTimeout = 10 * time.Second
+
 // serve runs the audit service until SIGINT/SIGTERM. On shutdown,
 // running jobs are cancelled at their next round boundary and park
 // non-terminal; their journals resume them — byte-identically — when
@@ -374,7 +379,7 @@ func serve(addr string, opts imagecvg.AuditServiceOptions, out, errOut io.Writer
 		fmt.Fprintln(errOut, "cvgrun:", err)
 		return 1
 	}
-	srv := &http.Server{Handler: eng.Handler()}
+	srv := &http.Server{Handler: eng.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errCh := make(chan error, 1)

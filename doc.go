@@ -40,11 +40,10 @@
 //     one call posts an entire round; TruthOracle and the simulated
 //     crowd implement it natively, and AsBatchOracle lifts any plain
 //     Oracle through a bounded worker pool.
-//   - Auditor.WithParallelism schedules independent super-group audits
-//     (and the covered-penalty re-audits) of Multiple-Coverage across
-//     a bounded worker pool, with per-audit child RNGs split
-//     deterministically from the seed, and runs Classifier-Coverage on
-//     its batched round engine (one point-query round for the
+//   - Auditor.WithParallelism runs independent super-group audits (and
+//     the covered-penalty re-audits) of Multiple-Coverage as concurrent
+//     tasks advancing in lockstep rounds, and runs Classifier-Coverage
+//     on its batched round engine (one point-query round for the
 //     precision sample, bounded Label rounds with a deterministic
 //     early stop, one reverse-set round per Partition tree level).
 //     With an order-independent oracle the verdicts and task counts
@@ -77,30 +76,31 @@
 // deterministic partial result — Result.Exhausted set, per-group
 // Settled flags, and best-effort covered/uncovered bounds proven by the
 // committed answers (Intersectional audits keep Unknown verdicts rather
-// than inventing definite ones). Under WithLockstep the exhaustion
+// than inventing definite ones). On the lockstep engine the exhaustion
 // point in the canonical query sequence, the partial verdicts, the
 // committed task counts and the ledger spend are byte-identical at
-// every WithParallelism value; the free-running pool charges queries in
-// arrival order and stays race-free but not width-reproducible.
+// every WithParallelism value.
 //
 // # Determinism contract
 //
-// Reproducibility across parallelism levels depends on the oracle:
+// There are two engines: the paper's sequential algorithms
+// (WithParallelism 1, the default) and lockstep rounds, which every
+// WithParallelism(k > 1) audit runs on — concurrent audits advance in
+// virtual rounds whose queries commit to the oracle as one batch in
+// canonical (super-group, member, query-sequence) order. Batched rounds
+// keep the concurrent engine's latency win, because a round's HITs
+// still post together. Reproducibility then depends on the oracle:
 //
 //   - Order-INDEPENDENT oracles — TruthOracle, any bridge whose answer
-//     is a function of the request alone — are safe with the default
-//     free-running pool: WithParallelism(k) reproduces the sequential
-//     engine bit-for-bit at every k.
+//     is a function of the request alone — reproduce the sequential
+//     engine bit-for-bit at every WithParallelism value.
 //   - Order-DEPENDENT oracles — the simulated crowd, whose worker
-//     draws advance an RNG per HIT, or any stateful aggregator — need
-//     Auditor.WithLockstep: audits then advance in virtual rounds
-//     whose queries commit to the oracle as one batch in canonical
-//     (super-group, member, query-sequence) order, so verdicts, task
-//     counts and spend are bit-identical at every WithParallelism
-//     value. The oracle must answer batches in request order
-//     (SimulatedCrowd does natively); batched rounds preserve most of
-//     the concurrent engine's latency win, because a round's HITs
-//     still post together.
+//     draws advance an RNG per HIT, or any stateful aggregator — see
+//     the identical query sequence at every WithParallelism value
+//     above 1, so verdicts, task counts and spend are bit-identical
+//     there, provided the oracle answers batches in request order
+//     (SimulatedCrowd does natively). Auditor.WithLockstep runs the
+//     rounds at width 1 too, making width 1 match every other width.
 //
 // # Audit service
 //

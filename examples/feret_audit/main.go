@@ -27,14 +27,13 @@ func main() {
 		log.Fatal(err)
 	}
 	// The simulated crowd is order-dependent (worker draws advance the
-	// platform RNG per HIT), so multi-group audits pair WithParallelism
-	// with WithLockstep: audits advance in deterministic virtual
-	// rounds, and verdicts, task counts and dollar costs come out
-	// bit-identical whether the engine runs 1-wide or 16-wide. (The
-	// single-group audits below run the sequential Algorithm 1 either
-	// way; lockstep matters for AuditGroups/AuditAttribute/
-	// AuditIntersectional.)
-	auditor := imagecvg.NewAuditor(crowd, 50, 50).WithParallelism(4).WithLockstep()
+	// platform RNG per HIT). WithParallelism(4) runs multi-group audits
+	// in deterministic lockstep rounds, so verdicts, task counts and
+	// dollar costs come out bit-identical whether the engine runs
+	// 2-wide or 16-wide. (The single-group audits below run the
+	// sequential Algorithm 1 either way; lockstep matters for
+	// AuditGroups/AuditAttribute/AuditIntersectional.)
+	auditor := imagecvg.NewAuditor(crowd, 50, 50).WithParallelism(4)
 	female := imagecvg.FemaleGroup(ds.Schema())
 
 	res, err := auditor.AuditGroup(ds.IDs(), female)
@@ -56,9 +55,9 @@ func main() {
 	fmt.Println("crowd cost:            ", crowd.Cost())
 
 	// Both gender groups at once through the concurrent engine — this
-	// is the audit the lockstep scheduler makes reproducible: thanks
-	// to WithLockstep above, this block prints the same verdicts and
-	// cost for every WithParallelism value.
+	// is the audit the lockstep scheduler makes reproducible: this
+	// block prints the same verdicts and cost for every WithParallelism
+	// value above 1.
 	crowd.ResetCost()
 	attr, err := auditor.AuditAttribute(ds.IDs(), ds.Schema(), 0)
 	if err != nil {

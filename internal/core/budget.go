@@ -20,13 +20,11 @@ import (
 // bounds from the answers that did commit) instead of an error.
 //
 // Determinism: inside one batch the governor charges requests in
-// request order and admits the affordable prefix, so under Lockstep —
-// where round composition and commit order are Parallelism-free — the
-// exhaustion point, the partial verdicts, the committed task counts and
-// the platform ledger's spend are byte-identical at every Parallelism
-// value. Free-running pools charge queries in arrival order; they stay
-// race-free but their exhaustion point depends on scheduling, exactly
-// like the rest of the determinism contract for order-dependent state.
+// request order and admits the affordable prefix, so on the lockstep
+// engine — where round composition and commit order are
+// Parallelism-free — the exhaustion point, the partial verdicts, the
+// committed task counts and the platform ledger's spend are
+// byte-identical at every Parallelism value.
 
 // ErrBudgetExhausted is returned by a BudgetedOracle for every query it
 // refuses to post. Audit algorithms catch it and return partial
@@ -107,9 +105,9 @@ func (s BudgetSpent) HITs() int { return s.Point + s.Set + s.ReverseSet }
 // requests in request order and forwards only the affordable prefix,
 // returning the prefix's answers together with ErrBudgetExhausted for
 // the remainder (the one middleware that exercises the partial-batch
-// clause of the BatchOracle contract). Under Lockstep that makes the
-// exhaustion point a pure function of the committed query sequence,
-// byte-identical at every Parallelism value.
+// clause of the BatchOracle contract). On the lockstep engine that
+// makes the exhaustion point a pure function of the committed query
+// sequence, byte-identical at every Parallelism value.
 //
 // Place the governor directly over the platform (or its retry/cache
 // stack's inner oracle) so it charges real HITs: a cache in front of

@@ -79,7 +79,7 @@ func FuzzPartitionClean(f *testing.F) {
 		}
 
 		// The level-round engine must commit the identical outcome.
-		e := &classifierEngine{o: NewTruthOracle(d), opts: MultipleOptions{Parallelism: int(seed&3) + 1, Lockstep: seed&4 == 0}}
+		e := &classifierEngine{o: NewTruthOracle(d), parallelism: int(seed&3) + 1}
 		gotC, gotD, gotT, _, err := e.partitionCleanRounds(d.IDs(), chunk, stopAt, g)
 		if err != nil {
 			t.Fatal(err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 
 	"imagecvg/internal/dataset"
@@ -8,7 +9,7 @@ import (
 )
 
 // This file is the batched round engine behind
-// ClassifierOptions.Parallelism / Lockstep — Algorithm 4/5 with every
+// ClassifierOptions.Parallelism — Algorithm 4/5 with every
 // phase posting whole rounds of HITs instead of one at a time:
 //
 //   - the precision sample (line 2-3) becomes a single point-query
@@ -37,13 +38,10 @@ import (
 //
 // Round composition is a pure function of previously committed answers
 // — never of Parallelism — so the engine is level-synchronous by
-// construction: with Lockstep the rounds commit through the canonical
-// lockstep scheduler as one BatchOracle batch in issue order, making
-// the full ClassifierResult bit-identical at every Parallelism value
-// even through order-dependent oracles like the crowd Platform.
-// Without Lockstep the rounds fan out across the free-running bounded
-// pool, which overlaps per-HIT round-trips the same way but lets an
-// order-dependent oracle consume its state in arrival order.
+// construction: the rounds commit through the canonical lockstep
+// scheduler as one BatchOracle batch in issue order, making the full
+// ClassifierResult bit-identical at every Parallelism value even
+// through order-dependent oracles like the crowd Platform.
 //
 // Determinism vs cost: the commit walks replicate the sequential
 // loops' visit order exactly, so Strategy, Count, Exact and the task
@@ -52,20 +50,20 @@ import (
 // rounds speculatively is over-issue: answers the early stop or the
 // sibling inference discards were still real HITs (the same tradeoff
 // GroupCoverageRounds documents), bounded per phase by one round.
-// Budget exhaustion surfaces as a committed prefix of one round
-// (canonical order under Lockstep), translated into a partial
-// ClassifierResult with Exhausted set.
+// Budget exhaustion surfaces as a committed prefix of one round in
+// canonical order, translated into a partial ClassifierResult with
+// Exhausted set.
 
 // classifierEngine dispatches one phase round at a time through
-// runAuditPool, one pool task per in-flight query: under Lockstep the
-// round commits as one canonical BatchOracle batch, otherwise the
-// queries fan out across the free-running bounded pool. gov, when
-// non-nil, is the budget governor already wrapped around o; the engine
-// reads its headroom to narrow speculative rounds.
+// runLockstep, one task per in-flight query, so the round commits as
+// one canonical BatchOracle batch. gov, when non-nil, is the budget
+// governor already wrapped around o; the engine reads its headroom to
+// narrow speculative rounds.
 type classifierEngine struct {
-	o    Oracle
-	gov  *BudgetedOracle
-	opts MultipleOptions
+	o           Oracle
+	gov         *BudgetedOracle
+	ctx         context.Context
+	parallelism int
 }
 
 // pointRound posts one round of point queries. ok[i] marks answers
@@ -74,7 +72,7 @@ type classifierEngine struct {
 func (e *classifierEngine) pointRound(ids []dataset.ObjectID) (labels [][]int, ok []bool, err error) {
 	labels = make([][]int, len(ids))
 	ok = make([]bool, len(ids))
-	err = runAuditPool(e.o, e.opts, nil, len(ids), func(i int, audit Oracle) error {
+	err = runLockstep(e.ctx, e.o, e.parallelism, len(ids), func(i int, audit Oracle) error {
 		var qerr error
 		labels[i], qerr = audit.PointQuery(ids[i])
 		ok[i] = qerr == nil
@@ -91,7 +89,7 @@ func (e *classifierEngine) pointRound(ids []dataset.ObjectID) (labels [][]int, o
 func (e *classifierEngine) reverseRound(sets [][]dataset.ObjectID, g pattern.Group) (answers []bool, ok []bool, err error) {
 	answers = make([]bool, len(sets))
 	ok = make([]bool, len(sets))
-	err = runAuditPool(e.o, e.opts, nil, len(sets), func(i int, audit Oracle) error {
+	err = runLockstep(e.ctx, e.o, e.parallelism, len(sets), func(i int, audit Oracle) error {
 		var qerr error
 		answers[i], qerr = audit.ReverseSetQuery(sets[i], g)
 		ok[i] = qerr == nil
@@ -108,11 +106,7 @@ func (e *classifierEngine) reverseRound(sets [][]dataset.ObjectID, g pattern.Gro
 // opts.Parallelism > 1 (inputs already validated, defaults resolved,
 // predicted non-empty, budget governor already applied to o).
 func classifierCoverageParallel(o Oracle, gov *BudgetedOracle, ids, predicted []dataset.ObjectID, inPredicted map[dataset.ObjectID]bool, n, tau int, g pattern.Group, opts ClassifierOptions, res ClassifierResult) (ClassifierResult, error) {
-	e := &classifierEngine{o: o, gov: gov, opts: MultipleOptions{
-		Parallelism: opts.Parallelism,
-		Lockstep:    opts.Lockstep,
-		Ctx:         opts.Ctx,
-	}}
+	e := &classifierEngine{o: o, gov: gov, ctx: opts.context(), parallelism: opts.Parallelism}
 
 	// Line 2-3: estimate precision on a sample of G, posted as one
 	// point-query round over exactly the objects — in exactly the order
@@ -131,8 +125,7 @@ func classifierCoverageParallel(o Oracle, gov *BudgetedOracle, ids, predicted []
 	for i, id := range sample {
 		if !oks[i] {
 			// Budget exhausted mid-sample: commit the answered prefix
-			// and settle; committed later answers (free pool only) are
-			// discarded over-issue.
+			// and settle.
 			return classifierExhausted(res, truePos, tau), nil
 		}
 		res.SampleTasks++
@@ -299,8 +292,7 @@ func (e *classifierEngine) partitionCleanRounds(predicted []dataset.ObjectID, n,
 			}
 			if !oks[idx] {
 				// Budget exhausted: the walk stops at the first
-				// uncommitted answer; committed later answers (free
-				// pool only) are discarded over-issue.
+				// uncommitted answer.
 				return confirmed, false, tasks, true, nil
 			}
 			q.remove(t)

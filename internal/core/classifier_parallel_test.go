@@ -83,10 +83,10 @@ func TestClassifierLockstepMatchesSequentialRandomized(t *testing.T) {
 	}
 }
 
-// TestClassifierFreePoolMatchesSequentialRandomized pins the
-// free-running side of the contract: against an order-independent
-// oracle the batched engine without lockstep also reproduces the
-// sequential engine at every width.
+// TestClassifierFreePoolMatchesSequentialRandomized pins the rule that
+// Parallelism > 1 alone selects the lockstep engine: with Lockstep
+// unset, the batched engine still reproduces the sequential engine at
+// every width against an order-independent oracle.
 func TestClassifierFreePoolMatchesSequentialRandomized(t *testing.T) {
 	instances := 20
 	if testing.Short() {
@@ -99,7 +99,7 @@ func TestClassifierFreePoolMatchesSequentialRandomized(t *testing.T) {
 			want := runClassifierCell(t, inst, 1, false)
 			for _, par := range []int{2, 8} {
 				if got := runClassifierCell(t, inst, par, false); got != want {
-					t.Fatalf("free pool P=%d diverged from the sequential engine:\n%s\nvs\n%s\n(instance %+v)",
+					t.Fatalf("P=%d with Lockstep unset diverged from the sequential engine:\n%s\nvs\n%s\n(instance %+v)",
 						par, got, want, inst)
 				}
 			}
@@ -250,7 +250,7 @@ func TestPartitionCleanRoundsMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := &classifierEngine{o: NewTruthOracle(d), opts: MultipleOptions{Parallelism: 1 + rng.Intn(8), Lockstep: rng.Intn(2) == 0}}
+		e := &classifierEngine{o: NewTruthOracle(d), parallelism: 1 + rng.Intn(8)}
 		gotC, gotD, gotT, _, err := e.partitionCleanRounds(d.IDs(), chunk, stopAt, g)
 		if err != nil {
 			t.Fatal(err)

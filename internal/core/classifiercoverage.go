@@ -40,24 +40,25 @@ type ClassifierOptions struct {
 	FPRateThreshold float64
 	// Rng drives sampling; required.
 	Rng *rand.Rand
-	// Parallelism enables the batched round engine
+	// Parallelism > 1 enables the batched round engine
 	// (classifier_parallel.go): the precision sample posts as one
 	// point-query round, the Label phase as bounded rounds with a
 	// deterministic early stop, and the Partition phase as one
-	// reverse-set round per tree level, each round fanned across a
-	// worker pool of at most Parallelism goroutines. Zero or one keeps
-	// the sequential Algorithm 4/5 loops. The oracle must be safe for
-	// concurrent use; results (strategy, counts, task breakdown) equal
-	// the sequential engine exactly for order-independent oracles.
-	Parallelism int
-	// Lockstep routes every round through the deterministic lockstep
-	// scheduler (runLockstep): the round's queries commit to the oracle
-	// as one canonical BatchOracle batch in issue order. Round
+	// reverse-set round per tree level, each round committing to the
+	// oracle through the lockstep scheduler (runLockstep) as one
+	// canonical BatchOracle batch in issue order; Parallelism bounds
+	// the pool that lifts non-batching oracles into those batches.
+	// Zero or one keeps the sequential Algorithm 4/5 loops. Round
 	// composition never depends on Parallelism — the engine is
 	// level-synchronous by construction — so with a native BatchOracle
 	// answering in request order (the crowd Platform, TruthOracle) the
-	// full ClassifierResult is bit-identical at every Parallelism
-	// value. Implies the batched engine even at Parallelism <= 1.
+	// full ClassifierResult is bit-identical at every Parallelism value
+	// above 1, and equals the sequential engine's exactly for
+	// order-independent oracles. The oracle must be safe for concurrent
+	// use.
+	Parallelism int
+	// Lockstep runs the batched round engine at Parallelism <= 1 too;
+	// it matters only there (see MultipleOptions.Lockstep).
 	Lockstep bool
 	// Retry re-posts transiently failing HITs (ErrTransient) instead
 	// of aborting the audit. The whole audit shares one retry wrapper

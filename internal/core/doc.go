@@ -29,27 +29,26 @@
 //     canonicalized key (sorted id-set plus group members) with
 //     in-flight collapsing; errors are never cached.
 //   - MultipleOptions.Parallelism (parallel.go) runs Multiple-Coverage
-//     with super-group audits and covered-penalty re-audits fanned
-//     across a worker pool, batched sampling, and per-audit child RNGs
-//     split deterministically from the seed. Verdicts, task counts and
-//     result bytes match the sequential engine exactly for
+//     with super-group audits and covered-penalty re-audits as
+//     concurrent lockstep tasks and batched sampling. Verdicts, task
+//     counts and result bytes match the sequential engine exactly for
 //     order-independent oracles at any parallelism.
 //   - RetryPolicy (retry.go) re-posts transiently failing HITs with
-//     jittered backoff drawn from the per-audit child RNG. Over a
-//     natively batching inner oracle a retry re-posts only the
-//     unanswered suffix of the round and splices the answers, so a
+//     jittered backoff drawn from the audit's RNG. Over a natively
+//     batching inner oracle a retry re-posts only the unanswered
+//     suffix of the round and splices the answers, so a
 //     partial prefix a budget governor already committed — and paid —
 //     is never charged twice.
 //   - GroupCoverageRounds (rounds.go) issues each tree level as one
 //     SetQueryBatch round, so even the order-dependent crowd simulator
 //     reproduces identical audits at every parallelism setting.
-//   - MultipleOptions.Lockstep (lockstep.go) extends that guarantee to
+//   - The lockstep scheduler (lockstep.go) extends that guarantee to
 //     the whole multi-group engine: concurrent audits advance in
 //     virtual rounds whose queries commit as one BatchOracle round in
 //     canonical (super-group, member, query-sequence) order, so even
 //     order-dependent oracles produce bit-identical verdicts, task
 //     counts and spend at every Parallelism value.
-//   - ClassifierOptions.Parallelism / Lockstep (classifier_parallel.go)
+//   - ClassifierOptions.Parallelism (classifier_parallel.go)
 //     bring Classifier-Coverage under the same contract: the precision
 //     sample posts as one point-query round, the Label phase as
 //     bounded rounds of max(1, tau - verified) point queries whose
@@ -60,22 +59,27 @@
 //     inference applied at commit time. Round composition is a pure
 //     function of committed answers — never of the pool width.
 //
-// The determinism contract, by oracle kind:
+// The determinism contract rests on two engines: the sequential
+// reference (Parallelism <= 1) and lockstep rounds (Parallelism > 1;
+// the Lockstep options pick rounds at width 1 too). By oracle kind:
 //
 //   - order-independent oracles (TruthOracle, stateless crowd bridges,
-//     anything whose answer is a function of the request alone) are
-//     safe with the free-running pool: verdicts and task counts equal
-//     the sequential engine at any Parallelism, with or without
-//     Lockstep.
+//     anything whose answer is a function of the request alone):
+//     verdicts and task counts equal the sequential engine's on both
+//     engines at any Parallelism.
 //   - order-dependent oracles (the crowd Platform, whose worker draws
-//     advance an RNG per HIT; any stateful simulator or aggregator)
-//     need Lockstep for cross-parallelism reproducibility, and must
-//     implement BatchOracle natively with batches executing in request
-//     order — the property the canonical round commit leans on.
+//     advance an RNG per HIT; any stateful simulator or aggregator):
+//     the lockstep engine reproduces itself bit-for-bit at every
+//     Parallelism, provided the oracle implements BatchOracle natively
+//     with batches executing in request order — the property the
+//     canonical round commit leans on. The sequential engine asks in
+//     the paper's order instead, so its results differ from the
+//     round engine's.
 //
-// Every audit algorithm in the package now honors the contract —
+// Every audit algorithm in the package honors the contract —
 // Multiple-, Intersectional- and Classifier-Coverage all batch their
-// rounds and take the Lockstep knob. One asymmetry remains by design:
+// rounds through the lockstep scheduler. One asymmetry remains by
+// design:
 // the batched engines count only committed queries in their task
 // tallies (matching the sequential engines exactly), while speculative
 // in-flight answers a deterministic early stop discards were still
@@ -95,15 +99,14 @@
 // batched engines additionally narrow their speculative rounds to the
 // governor's remaining headroom: Label rounds post min(tau - verified,
 // headroom) point queries, and the Partition frontier is clipped to
-// the queue prefix that could still reach the early stop. Under
-// Lockstep the exhaustion point, partial verdicts, committed task
-// counts and ledger spend are byte-identical at every Parallelism
-// value; the free pool charges in arrival order (race-free, not
-// width-reproducible).
+// the queue prefix that could still reach the early stop. On the
+// lockstep engine the exhaustion point, partial verdicts, committed
+// task counts and ledger spend are byte-identical at every Parallelism
+// value.
 //
 // # Checkpoint, resume, and cancellation
 //
-// Because round composition under Lockstep is a pure function of
+// Because round composition on the lockstep engine is a pure function of
 // committed answers — never of scheduling or Parallelism — a
 // serialized log of the committed rounds is a complete checkpoint of
 // an audit. The JournalingOracle middleware (journal.go) realizes
@@ -126,16 +129,15 @@
 // unbudgeted). Journaling composes with the stack order cache ->
 // journal -> governor -> platform: the cache above the journal replays
 // its misses deterministically and re-fills from the recorded answers;
-// a governor below it is snapshot/restored per round. Free-running
-// pools issue queries in arrival order, so journal replay is only
-// resume-safe under Lockstep.
+// a governor below it is snapshot/restored per round.
 //
 // Cancellation rides the same round boundaries: MultipleOptions.Ctx /
 // ClassifierOptions.Ctx thread a context.Context through the engines,
 // and a cancelled context fails the next round before it reaches the
-// oracle — checked in the lockstep commit path, at pool dispatch, in
-// the journaling middleware, and in the retry backoff (which selects
-// on the context instead of sleeping through it). A killed job
+// oracle — checked in the lockstep commit path, between audits on the
+// sequential engine, in the journaling middleware, and in the retry
+// backoff (which selects on the context instead of sleeping through
+// it). A killed job
 // therefore never half-posts a round: every round either committed
 // (and was journaled) or never touched the crowd, which is what makes
 // kill-at-round-K exactly resumable.

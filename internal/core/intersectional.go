@@ -58,10 +58,10 @@ type IntersectionalResult struct {
 // partial overlaps with an uncovered super-group — the algorithm
 // resolves the pattern with one additional Group-Coverage run, so
 // every verdict is definite. Those resolution re-audits are mutually
-// independent, so with opts.Parallelism > 1 they dispatch across the
-// same bounded worker pool as the leaf audits; results settle in
-// pattern-universe order, keeping verdicts, MUPs and task counts
-// identical to the sequential engine for order-independent oracles.
+// independent, so with opts.Parallelism > 1 they run in lockstep
+// rounds like the leaf audits; results settle in pattern-universe
+// order, keeping verdicts, MUPs and task counts identical to the
+// sequential engine for order-independent oracles.
 func IntersectionalCoverage(o Oracle, ids []dataset.ObjectID, n, tau int, s *pattern.Schema, opts MultipleOptions) (*IntersectionalResult, error) {
 	if s == nil {
 		return nil, errors.New("core: nil schema")
@@ -123,21 +123,26 @@ func IntersectionalCoverage(o Oracle, ids []dataset.ObjectID, n, tau int, s *pat
 		}
 		res.Verdicts[p.Key()] = v
 	}
-	// Retry wraps each re-audit with its own child RNG like every
-	// other audit phase; the child seeds are drawn only when a policy
-	// is set, so retry-free runs leave opts.Rng untouched. The audits
-	// dispatch free-running or in lockstep rounds per opts.Lockstep,
-	// with pattern-universe order as the canonical task order.
-	var seeds []int64
-	if opts.Retry.Enabled() {
-		seeds = splitSeeds(opts.Rng, len(unresolved))
-	}
-	err = runAuditPool(o, opts, seeds, len(unresolved), func(i int, audit Oracle) error {
+	// The re-audits share one retry wrapper, like the leaf audits, and
+	// run in lockstep rounds (or one after another on the sequential
+	// engine), with pattern-universe order as the canonical task order.
+	resolve := func(i int, audit Oracle) error {
 		r := &unresolved[i]
 		var e error
 		r.audit, e = GroupCoverage(audit, mres.RemainingIDs, n, clampTau(tau-r.labeled), r.group)
 		return e
-	})
+	}
+	ctx := opts.context()
+	audit := withRetry(ctx, o, opts.Retry, opts.Rng)
+	if opts.Lockstep || opts.Parallelism > 1 {
+		err = runLockstep(ctx, audit, opts.Parallelism, len(unresolved), resolve)
+	} else {
+		for i := 0; i < len(unresolved) && err == nil; i++ {
+			if err = ctx.Err(); err == nil {
+				err = resolve(i, audit)
+			}
+		}
+	}
 	if err != nil {
 		return nil, err
 	}

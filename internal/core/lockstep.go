@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math/rand"
 	"sort"
 	"sync"
 	"time"
@@ -11,12 +10,11 @@ import (
 	"imagecvg/internal/pattern"
 )
 
-// This file is the deterministic lockstep scheduler behind
-// MultipleOptions.Lockstep. The free-running engine (parallel.go) is
-// bit-equal across parallelism levels only for order-independent
-// oracles: an order-dependent oracle like the crowd Platform consumes
-// its RNG per HIT in arrival order, and arrival order under a
-// free-running pool depends on goroutine interleaving. Lockstep
+// This file is the deterministic lockstep scheduler: every concurrent
+// audit (Parallelism > 1, or MultipleOptions.Lockstep at any width)
+// runs on it. An order-dependent oracle like the crowd Platform
+// consumes its RNG per HIT in arrival order, and arrival order under a
+// plain worker pool depends on goroutine interleaving. Lockstep
 // removes that dependence by executing audits in virtual rounds:
 //
 //   - every audit task runs in its own goroutine regardless of
@@ -152,7 +150,7 @@ func (s *lockstep) maybeCommit() {
 		s.err = s.ctx.Err()
 	}
 	if s.err != nil {
-		failRound(round, s.err)
+		failQueries(round, s.err)
 	} else {
 		s.commit(round)
 	}
@@ -166,15 +164,15 @@ func (s *lockstep) maybeCommit() {
 // second, each kind as a single batch in canonical order. A batch
 // error fails the failing queries uniformly — every parked task behind
 // the failure sees the same error, so which error surfaces never
-// depends on scheduling, and a task-side retry policy re-parks its
-// query in a later round (re-posting the round's HITs, the price of
-// keeping failure handling deterministic). A partial-prefix batch (a
-// BudgetedOracle admitting only what the remaining budget affords)
-// delivers the committed prefix's answers to their tasks and fails the
-// rest of the round — the unadmitted sets AND every point query, which
-// sit after the sets in canonical order — with the batch's error, so a
-// budget exhausts at one deterministic point in the canonical query
-// sequence and no task ever hangs on an unanswered round.
+// depends on scheduling. A retry policy sits below the commit, inside
+// the batch oracle, so a round fails only once a query has spent its
+// attempts. A partial-prefix batch (a BudgetedOracle admitting only
+// what the remaining budget affords) delivers the committed prefix's
+// answers to their tasks and fails the rest of the round — the
+// unadmitted sets AND every point query, which sit after the sets in
+// canonical order — with the batch's error, so a budget exhausts at
+// one deterministic point in the canonical query sequence and no task
+// ever hangs on an unanswered round.
 func (s *lockstep) commit(round []*lockstepQuery) {
 	sets, points := s.sets[:0], s.points[:0]
 	for _, q := range round {
@@ -221,12 +219,7 @@ func (s *lockstep) commit(round []*lockstepQuery) {
 	}
 }
 
-// failRound delivers one error to every query of a round.
-func failRound(round []*lockstepQuery, err error) {
-	failQueries(round, err)
-}
-
-// failQueries delivers one error to a subset of a round's queries.
+// failQueries delivers one error to a round's queries, or a subset.
 func failQueries(queries []*lockstepQuery, err error) {
 	for _, q := range queries {
 		q.err, q.done = err, true
@@ -307,33 +300,6 @@ func runLockstep(ctx context.Context, o Oracle, parallelism, n int, fn func(i in
 	}
 	wg.Wait()
 	return firstError(errs)
-}
-
-// runAuditPool dispatches n independent audits on the engine selected
-// by the options: lockstep rounds when opts.Lockstep, the free-running
-// bounded pool otherwise. seeds, when non-nil and retries are enabled,
-// hand audit i a retry wrapper with its own child jitter RNG; under
-// lockstep the wrapper sits task-side, so a retried query simply parks
-// again in a later round.
-func runAuditPool(o Oracle, opts MultipleOptions, seeds []int64, n int, fn func(i int, audit Oracle) error) error {
-	ctx := opts.context()
-	wrap := func(base Oracle, i int) Oracle {
-		if seeds == nil || !opts.Retry.Enabled() {
-			return base
-		}
-		return withRetry(ctx, base, opts.Retry, rand.New(rand.NewSource(seeds[i])))
-	}
-	if opts.Lockstep {
-		return runLockstep(ctx, o, opts.Parallelism, n, func(i int, audit Oracle) error {
-			return fn(i, wrap(audit, i))
-		})
-	}
-	return RunBounded(opts.Parallelism, n, func(i int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		return fn(i, wrap(o, i))
-	})
 }
 
 // DelayOracle adds a fixed per-query wall-clock delay in front of an

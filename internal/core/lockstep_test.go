@@ -221,8 +221,8 @@ func TestLockstepPenaltyBranch(t *testing.T) {
 	}
 }
 
-// TestLockstepRetryRecoversTransientFailures: task-side retries park
-// the failed query again in a later round instead of aborting.
+// TestLockstepRetryRecoversTransientFailures: retries re-post the
+// failed query inside its round instead of aborting.
 func TestLockstepRetryRecoversTransientFailures(t *testing.T) {
 	s := raceSchema()
 	counts := []int{400, 10, 60, 10}

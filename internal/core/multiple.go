@@ -236,35 +236,35 @@ type MultipleOptions struct {
 	NoSampling bool
 	// Multi applies the same-parent aggregation rule (intersectional).
 	Multi bool
-	// Rng drives sampling and seeds the per-audit child RNGs of the
-	// concurrent engine; required.
+	// Rng drives sampling and the retry jitter; required.
 	Rng *rand.Rand
-	// Parallelism bounds the worker pool of the concurrent engine:
-	// independent super-group audits (and the per-member re-audits of
-	// the covered-penalty branch) run across up to Parallelism
-	// goroutines, and the sampling phase is issued as one batched
-	// oracle round. Zero or one runs the sequential Algorithm 2
-	// verbatim. The oracle must be safe for concurrent use; with an
-	// order-independent oracle (TruthOracle, any stateless crowd
-	// bridge) verdicts and task counts are identical to the sequential
-	// engine for every Parallelism value.
+	// Parallelism > 1 runs the concurrent engine: independent
+	// super-group audits (and the per-member re-audits of the
+	// covered-penalty branch) run as lockstep tasks (lockstep.go) whose
+	// parked queries commit in canonical (super-group, member,
+	// query-sequence) order, one BatchOracle round at a time, and the
+	// sampling phase is issued as one batched oracle round. The
+	// schedule never depends on Parallelism, which only bounds the pool
+	// that lifts non-batching oracles into rounds, preserving the
+	// latency win of batched rounds. Zero or one runs the sequential
+	// Algorithm 2 verbatim. The oracle must be safe for concurrent use.
+	// With an oracle whose batches execute in request order (the crowd
+	// Platform, TruthOracle, any native BatchOracle honoring the
+	// contract) results are bit-for-bit identical at every Parallelism
+	// value above 1 even when answers depend on query order;
+	// order-independent oracles additionally reproduce the sequential
+	// engine exactly.
 	Parallelism int
-	// Lockstep replaces the free-running pool with the deterministic
-	// round scheduler (lockstep.go): concurrent audits park their
-	// oracle queries, whole rounds commit in canonical (super-group,
-	// member, query-sequence) order through one BatchOracle call, and
-	// the schedule never depends on Parallelism. With an oracle whose
-	// batches execute in request order (the crowd Platform, TruthOracle,
-	// any native BatchOracle honoring the contract) results are
-	// bit-for-bit identical at every Parallelism value even when
-	// answers depend on query order; Parallelism then only bounds the
-	// pool that lifts non-batching oracles, preserving the latency win
-	// of batched rounds. Order-independent oracles additionally
-	// reproduce the sequential engine exactly.
+	// Lockstep runs the lockstep rounds at Parallelism <= 1 too; it
+	// matters only there. Callers whose resume or probe schedule rides
+	// the committed round sequence (journal, trust, the audit service)
+	// set it; the paper's sequential query order is the default.
 	Lockstep bool
 	// Retry re-posts transiently failing HITs (ErrTransient) instead
-	// of aborting the audit; jitter is drawn from per-audit child RNGs
-	// split deterministically from Rng.
+	// of aborting the audit. One retry wrapper serves the whole audit,
+	// below the lockstep commit, so a failed query is re-posted inside
+	// its round; jitter is drawn from Rng on retries only, so a
+	// failure-free run is unaffected.
 	Retry RetryPolicy
 	// Budget caps the committed crowd queries of this audit: the engine
 	// wraps the oracle in a BudgetedOracle governor and, when the cap
@@ -272,15 +272,16 @@ type MultipleOptions struct {
 	// unsettled groups carrying best-effort bounds) instead of an
 	// error. An oracle that already is a *BudgetedOracle — the Auditor
 	// shares one governor across audits — is reused and this field is
-	// ignored. Exhaustion is byte-identical across Parallelism only
-	// under Lockstep; the free-running pool charges queries in arrival
-	// order.
+	// ignored. Exhaustion is byte-identical across Parallelism values
+	// on the lockstep engine; the sequential engine charges queries in
+	// the paper's order, so its exhaustion point may differ.
 	Budget Budget
 	// Ctx cancels the audit at round boundaries: a cancelled context
 	// fails the next oracle round before it reaches the crowd (checked
-	// in the lockstep commit path, at pool dispatch, in the journaling
-	// middleware and in the retry backoff), so a killed job never
-	// half-posts a round. Nil means context.Background().
+	// in the lockstep commit path, between audits on the sequential
+	// engine, in the journaling middleware and in the retry backoff),
+	// so a killed job never half-posts a round. Nil means
+	// context.Background().
 	Ctx context.Context
 }
 

@@ -12,23 +12,17 @@ import (
 
 // This file is the concurrent audit engine behind
 // MultipleOptions.Parallelism: independent super-group audits — and
-// the per-member re-audits of the covered-penalty branch — run across
-// a bounded worker pool, the sampling phase is issued as one batched
-// oracle round, and every audit owns a child RNG split
-// deterministically from the seed so no goroutine ever shares
-// randomness. Results are assembled in super-group order, so with an
-// order-independent oracle the engine is bit-for-bit equivalent to
-// the sequential Algorithm 2 at every parallelism level. With
-// MultipleOptions.Lockstep the audit rounds dispatch through the
-// lockstep scheduler (lockstep.go) instead of the free pool, extending
-// that equivalence to order-dependent oracles.
+// the per-member re-audits of the covered-penalty branch — run in
+// lockstep rounds (lockstep.go) and the sampling phase is issued as
+// one batched oracle round. Results are assembled in super-group
+// order, so the engine is bit-for-bit equivalent to the sequential
+// Algorithm 2 at every parallelism level for order-independent
+// oracles, and reproduces itself at every level for order-dependent
+// ones.
 
 // normalizeParallelism maps non-positive pool widths to 1, the one
 // normalization rule every engine shares: "no parallelism requested"
 // always means a single worker, never a hidden default width.
-// (GroupCoverageRounds historically coerced values < 1 to a magic 8
-// while the rest of the package used 1; the shared helper pins the
-// uniform behavior.)
 func normalizeParallelism(parallelism int) int {
 	if parallelism < 1 {
 		return 1
@@ -46,9 +40,10 @@ func normalizeParallelism(parallelism int) int {
 // for anyway. When each task's failure is a function of its own index
 // (not of shared call-order state), the surfaced error is therefore
 // deterministic under any scheduling: the lowest failing index, the
-// same error the sequential loop stops on. Besides the audit engine,
-// the experiment harness reuses this pool to fan independent trials
-// out across workers.
+// same error the sequential loop stops on. AsBatchOracle lifts plain
+// oracles into batched rounds on it, and the experiment harness and
+// the audit service reuse it to fan trials and jobs out across
+// workers.
 func RunBounded(parallelism, n int, fn func(i int) error) error {
 	if n == 0 {
 		return nil
@@ -98,29 +93,6 @@ func RunBounded(parallelism, n int, fn func(i int) error) error {
 	return firstError(errs)
 }
 
-// splitSeeds draws one child seed per audit from the parent RNG, in
-// deterministic order, so concurrently running audits never touch the
-// parent and identical seeds reproduce identical child streams at any
-// parallelism level.
-func splitSeeds(rng *rand.Rand, n int) []int64 {
-	seeds := make([]int64, n)
-	for i := range seeds {
-		seeds[i] = rng.Int63()
-	}
-	return seeds
-}
-
-// mixSeed derives a sub-seed for the i-th follow-up task of an audit
-// (splitmix-style odd-constant multiply) so penalty re-audits get
-// independent child RNGs too.
-func mixSeed(seed int64, i int) int64 {
-	x := uint64(seed) + uint64(i+1)*0x9E3779B97F4A7C15
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	return int64(x & (1<<63 - 1))
-}
-
 // LabelSamplesBatch is the sampling phase of Algorithm 6 issued as one
 // batched oracle round: the same objects LabelSamples would pick with
 // the same RNG (both use chooseSamples) are labeled through a single
@@ -152,8 +124,7 @@ func LabelSamplesBatch(o BatchOracle, ids []dataset.ObjectID, k int, l *LabeledS
 // multipleCoverageParallel is Algorithm 2 on the concurrent engine;
 // MultipleCoverage dispatches here when opts.Parallelism > 1 or
 // opts.Lockstep is set (inputs already validated, c is the resolved
-// sample factor). The audit rounds dispatch through runAuditPool, so
-// the same phase structure runs free-running or in lockstep.
+// sample factor). The audit rounds run in lockstep (runLockstep).
 func multipleCoverageParallel(o Oracle, ids []dataset.ObjectID, n, tau, c int, groups []pattern.Group, opts MultipleOptions) (*MultipleResult, error) {
 	res := &MultipleResult{
 		Results: make([]MultipleGroupResult, len(groups)),
@@ -163,15 +134,19 @@ func multipleCoverageParallel(o Oracle, ids []dataset.ObjectID, n, tau, c int, g
 	if opts.NoSampling {
 		budget = 0
 	}
-	batchWidth := normalizeParallelism(opts.Parallelism)
-
-	// Sampling round: one batch of point queries. Retries, when
-	// enabled, wrap the inner oracle per query; the jitter RNG is the
-	// parent (the batch is issued before any audit goroutine starts).
-	if err := opts.context().Err(); err != nil {
+	ctx := opts.context()
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	sampler := AsBatchOracle(withRetry(opts.context(), o, opts.Retry, opts.Rng), batchWidth)
+	// One retry wrapper, when enabled, serves the sampling batch and
+	// every lockstep round: a transiently failing query is re-posted
+	// inside its round (over a native batch oracle only the unanswered
+	// suffix is), so one bad HIT never fails the whole round. Jitter is
+	// drawn from the parent RNG, which no audit task touches.
+	retried := withRetry(ctx, o, opts.Retry, opts.Rng)
+
+	// Sampling round: one batch of point queries.
+	sampler := AsBatchOracle(retried, normalizeParallelism(opts.Parallelism))
 	remaining, sampleTasks, err := LabelSamplesBatch(sampler, ids, budget, res.Labeled, opts.Rng)
 	if err != nil {
 		if errors.Is(err, ErrBudgetExhausted) {
@@ -183,12 +158,11 @@ func multipleCoverageParallel(o Oracle, ids []dataset.ObjectID, n, tau, c int, g
 	res.SampleTasks = sampleTasks
 
 	plans := buildSuperPlans(res.Labeled, tau, groups, Aggregate(res.Labeled, len(ids), tau, groups, opts.Multi))
-	seeds := splitSeeds(opts.Rng, len(plans))
 
-	// Round 1: every super-group union audit runs across the pool (or
-	// in lockstep rounds, task index = super-group index).
+	// Round 1: every super-group union audit runs in lockstep rounds,
+	// task index = super-group index.
 	unionRes := make([]GroupResult, len(plans))
-	err = runAuditPool(o, opts, seeds, len(plans), func(si int, audit Oracle) error {
+	err = runLockstep(ctx, retried, opts.Parallelism, len(plans), func(si int, audit Oracle) error {
 		var e error
 		unionRes[si], e = GroupCoverage(audit, remaining, n, plans[si].tauPrime, plans[si].union)
 		return e
@@ -198,22 +172,19 @@ func multipleCoverageParallel(o Oracle, ids []dataset.ObjectID, n, tau, c int, g
 	}
 
 	// Round 2: the covered-penalty re-audits — every member of every
-	// covered multi-member super-group — also fan out, each with its
-	// own child RNG mixed from the super's seed; the canonical task
-	// order is (super-group index, member index).
+	// covered multi-member super-group — also run as lockstep tasks;
+	// the canonical task order is (super-group index, member index).
 	type penaltyJob struct{ si, mi int }
 	var jobs []penaltyJob
-	var jobSeeds []int64
 	for si, plan := range plans {
 		if len(plan.members) > 1 && unionRes[si].Covered {
 			for mi := range plan.members {
 				jobs = append(jobs, penaltyJob{si, mi})
-				jobSeeds = append(jobSeeds, mixSeed(seeds[si], mi))
 			}
 		}
 	}
 	subRes := make([]GroupResult, len(jobs))
-	err = runAuditPool(o, opts, jobSeeds, len(jobs), func(j int, audit Oracle) error {
+	err = runLockstep(ctx, retried, opts.Parallelism, len(jobs), func(j int, audit Oracle) error {
 		job := jobs[j]
 		g := groups[plans[job.si].members[job.mi]]
 		var e error

@@ -21,16 +21,16 @@ type RetryPolicy struct {
 	MaxAttempts int
 	// Backoff scales the wait between attempts: before retry k the
 	// engine sleeps Backoff * (0.5 + jitter) where jitter in [0, 1) is
-	// drawn from the audit's child RNG. Zero sleeps not at all (tests).
+	// drawn from the audit's RNG. Zero sleeps not at all (tests).
 	Backoff time.Duration
 }
 
 // Enabled reports whether the policy actually retries.
 func (p RetryPolicy) Enabled() bool { return p.MaxAttempts > 1 }
 
-// retryOracle wraps an oracle with the retry policy. Each concurrent
-// audit owns its own retryOracle with its own child RNG, so jitter
-// draws never race and stay deterministic per audit.
+// retryOracle wraps an oracle with the retry policy. One retryOracle
+// serves a whole audit; its lock guards the jitter RNG, which is drawn
+// on retries only and sets a sleep, never an answer.
 //
 // retryOracle is itself a BatchOracle: over a natively batching inner
 // oracle a transient failure re-posts only the unanswered suffix of

@@ -7,8 +7,9 @@ package crowd
 // reliability-weighted aggregation, a pricing model (fixed, per-image,
 // posted-price or sealed-bid bidding), the cost ledger, and Dawid-Skene
 // truth inference over the raw assignment log — must be bit-for-bit
-// identical at every engine Parallelism value when the audit runs
-// under lockstep. The matrix spans all three audit algorithms that
+// identical at every engine Parallelism value when the audit runs on
+// the lockstep engine, whether Lockstep is set or left unset at
+// Parallelism > 1. The matrix spans all three audit algorithms that
 // batch their rounds: Multiple-, Intersectional- and
 // Classifier-Coverage. Instances are generated testing/quick-style
 // from a seeded RNG; the whole suite also runs under -race in CI, so
@@ -130,11 +131,12 @@ func platformFor(t *testing.T, inst conformanceInstance, d *dataset.Dataset, log
 	return p
 }
 
-// runConformanceCell executes one (instance, parallelism) cell under
-// lockstep and serializes everything observable: the audit result, the
+// runConformanceCell executes one (instance, parallelism, Lockstep)
+// cell and serializes everything observable: the audit result, the
 // task counts, the ledger (spend), the HIT transcript length, and the
-// Dawid-Skene estimate over the raw assignment log.
-func runConformanceCell(t *testing.T, inst conformanceInstance, parallelism int) string {
+// Dawid-Skene estimate over the raw assignment log. With Lockstep
+// unset, Parallelism > 1 alone selects the lockstep engine.
+func runConformanceCell(t *testing.T, inst conformanceInstance, parallelism int, lockstep bool) string {
 	t.Helper()
 	d := dataset.MustFromCounts(inst.schema, inst.counts, rand.New(rand.NewSource(inst.platformSeed+1)))
 	log := &ResponseLog{}
@@ -142,7 +144,7 @@ func runConformanceCell(t *testing.T, inst conformanceInstance, parallelism int)
 	opts := core.MultipleOptions{
 		Rng:         rand.New(rand.NewSource(inst.auditSeed)),
 		Parallelism: parallelism,
-		Lockstep:    true,
+		Lockstep:    lockstep,
 	}
 	var audit string
 	switch inst.kind {
@@ -159,7 +161,7 @@ func runConformanceCell(t *testing.T, inst conformanceInstance, parallelism int)
 			core.ClassifierOptions{
 				Rng:         rand.New(rand.NewSource(inst.auditSeed)),
 				Parallelism: parallelism,
-				Lockstep:    true,
+				Lockstep:    lockstep,
 			})
 		if err != nil {
 			t.Fatal(err)
@@ -208,9 +210,9 @@ func conformanceKind(i int) string {
 // TestLockstepCrossParallelismConformance is the conformance matrix:
 // >= 50 randomized crowd-pipeline instances — worker screening
 // (qualification test, rating filter) and all four pricing models
-// included — each run at P in {1, 2, 4, 16} under lockstep, asserting
-// byte-identical verdicts, task counts, spend, and truth-inference
-// output.
+// included — each run at P in {1, 2, 4, 16} with Lockstep set, and at
+// P in {2, 4, 16} with it unset, asserting byte-identical verdicts,
+// task counts, spend, and truth-inference output.
 func TestLockstepCrossParallelismConformance(t *testing.T) {
 	instances := 50
 	if testing.Short() {
@@ -222,7 +224,7 @@ func TestLockstepCrossParallelismConformance(t *testing.T) {
 		t.Run(fmt.Sprintf("%02d-%s", i, inst.kind), func(t *testing.T) {
 			var base string
 			for _, par := range []int{1, 2, 4, 16} {
-				got := runConformanceCell(t, inst, par)
+				got := runConformanceCell(t, inst, par, true)
 				if par == 1 {
 					base = got
 					continue
@@ -230,6 +232,10 @@ func TestLockstepCrossParallelismConformance(t *testing.T) {
 				if got != base {
 					t.Fatalf("parallelism %d diverged from parallelism 1:\n--- P=%d ---\n%s\n--- P=1 ---\n%s\n(instance %+v)",
 						par, par, got, base, inst)
+				}
+				if got := runConformanceCell(t, inst, par, false); got != base {
+					t.Fatalf("parallelism %d with Lockstep unset diverged from Lockstep set:\n--- unset ---\n%s\n--- set, P=1 ---\n%s\n(instance %+v)",
+						par, got, base, inst)
 				}
 			}
 		})
@@ -267,19 +273,17 @@ func TestConformanceMatrixCoversScreeningAndBidding(t *testing.T) {
 	}
 }
 
-// TestFreeRunningCrowdAuditMayDiverge documents the boundary of the
-// contract: without lockstep the free-running pool consumes the
-// platform RNG in arrival order, so the conformance property belongs
-// to Lockstep specifically (this test asserts only that lockstep runs
-// reproduce themselves — it does NOT assert the free pool diverges,
-// which would be a flaky claim about scheduling).
+// TestLockstepCrowdAuditReproducesItself: repeating an identical
+// crowd audit on the lockstep engine reproduces it byte-for-byte —
+// the platform RNG, consumed per HIT in canonical commit order, never
+// sees a scheduling-dependent query sequence.
 func TestLockstepCrowdAuditReproducesItself(t *testing.T) {
 	rng := rand.New(rand.NewSource(20241))
 	for _, kind := range []string{"multiple", "classifier"} {
 		inst := generateInstance(rng, kind)
-		first := runConformanceCell(t, inst, 4)
+		first := runConformanceCell(t, inst, 4, true)
 		for rep := 0; rep < 3; rep++ {
-			if got := runConformanceCell(t, inst, 4); got != first {
+			if got := runConformanceCell(t, inst, 4, true); got != first {
 				t.Fatalf("%s rep %d: identical lockstep run diverged:\n%s\nvs\n%s", kind, rep, got, first)
 			}
 		}

@@ -214,7 +214,7 @@ func TestZeroRateAdversaryIsNoOp(t *testing.T) {
 		ai.rate = 0
 		ai.strategy = ""
 		ai.trust = false
-		honest := runConformanceCell(t, ai.conformanceInstance, 4)
+		honest := runConformanceCell(t, ai.conformanceInstance, 4, true)
 		adv := runAdversarialCell(t, ai, 4)
 		if adv != honest+"\ntrust=no-trust" {
 			t.Fatalf("zero-rate adversary cell diverged from honest cell:\n--- adversary-config ---\n%s\n--- honest ---\n%s",

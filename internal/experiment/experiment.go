@@ -54,32 +54,23 @@ type Config struct {
 	// harness byte-for-byte. Concurrent trials that share an oracle
 	// require it to be concurrency-safe.
 	Parallelism int
-	// Lockstep asks the trial body to run its audits on the
-	// deterministic lockstep scheduler (core.MultipleOptions.Lockstep)
-	// instead of the free-running pool. The engine itself only passes
-	// the knob through to Trial.Lockstep — it is the trial body that
-	// wires it into its audit options — but carrying it in the Config
-	// keeps a whole grid's cells reproducible across the
-	// engine-parallelism axis even when their oracles are
-	// order-dependent (the crowd simulator).
-	Lockstep bool
 	// EngineParallelism, when positive, overrides the audit engine's
-	// worker-pool width inside the trial body (the pool that runs
-	// super-group audits concurrently or lifts oracles into batched
-	// rounds) — as distinct from Parallelism, which bounds how many
-	// whole trials run at once. Like Lockstep it is a pass-through: the
-	// engine echoes it on Trial.EngineParallelism and the trial body
-	// wires it into its audit options, falling back to the
-	// experiment's own default when zero.
+	// width inside the trial body (above 1 the audits run in lockstep
+	// rounds, and the width bounds the pool that lifts oracles into
+	// batched rounds) — as distinct from Parallelism, which bounds how
+	// many whole trials run at once. It is a pass-through: the engine
+	// echoes it on Trial.EngineParallelism and the trial body wires it
+	// into its audit options, falling back to the experiment's own
+	// default when zero.
 	EngineParallelism int
 	// Budget, when active, caps the committed crowd queries of each
-	// trial's audit. Like Lockstep it is a pass-through: the engine
-	// echoes it on Trial.Budget and the trial body wires it into its
-	// audit options (core.MultipleOptions.Budget /
+	// trial's audit. Like EngineParallelism it is a pass-through: the
+	// engine echoes it on Trial.Budget and the trial body wires it into
+	// its audit options (core.MultipleOptions.Budget /
 	// core.ClassifierOptions.Budget), so a grid can sweep the budget
 	// axis the same way it sweeps engine widths. Budgeted cells that
-	// want cross-parallelism byte-identity must also run under
-	// Lockstep.
+	// want width-1 runs byte-identical to wider ones must set
+	// core.MultipleOptions.Lockstep in their audit options.
 	Budget core.Budget
 	// Ctx cancels the cell: a trial whose context is already cancelled
 	// fails before it dispatches, and the engine echoes the context on
@@ -119,9 +110,6 @@ type Trial struct {
 	// Rng is a fresh child RNG seeded with Seed. No other trial ever
 	// touches it.
 	Rng *rand.Rand
-	// Lockstep echoes Config.Lockstep: the trial body should run its
-	// audits with core.MultipleOptions.Lockstep set accordingly.
-	Lockstep bool
 	// EngineParallelism echoes Config.EngineParallelism; zero means
 	// the trial body applies its own default engine width.
 	EngineParallelism int
@@ -283,7 +271,6 @@ func RunMany[T any](cfgs []Config, fn func(cell int, t Trial) (T, error)) ([]*Re
 			Cell:              cell,
 			Index:             index,
 			Seed:              cfg.Seed + int64(index),
-			Lockstep:          cfg.Lockstep,
 			EngineParallelism: cfg.EngineParallelism,
 			Budget:            cfg.Budget,
 			Ctx:               ctx,

@@ -43,12 +43,20 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
+// maxSubmitBytes caps a POST /jobs body. A JobConfig is a few hundred
+// bytes, so a body this large is broken or hostile input; it is
+// refused with 413 before the decoder buffers it.
+const maxSubmitBytes = 1 << 20
+
 // writeError maps engine errors to HTTP status codes. Only
 // recognized client faults get 4xx; anything else (e.g. a meta
 // persistence failure inside Submit) is a 500.
 func writeError(w http.ResponseWriter, err error) {
 	code := http.StatusInternalServerError
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		code = http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrInvalidConfig):
 		code = http.StatusBadRequest
 	case errors.Is(err, ErrNotFound):
@@ -63,10 +71,10 @@ func writeError(w http.ResponseWriter, err error) {
 
 func (e *Engine) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var cfg JobConfig
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&cfg); err != nil {
-		writeError(w, fmt.Errorf("%w: decode: %v", ErrInvalidConfig, err))
+		writeError(w, fmt.Errorf("%w: decode: %w", ErrInvalidConfig, err))
 		return
 	}
 	id, err := e.Submit(cfg)

@@ -178,6 +178,8 @@ func TestWriteErrorCodes(t *testing.T) {
 		{fmt.Errorf("normalize: %w", ErrInvalidConfig), http.StatusBadRequest},
 		{fmt.Errorf("shutting down: %w", ErrClosed), http.StatusServiceUnavailable},
 		{fmt.Errorf("submit: %w", fmt.Errorf("tenant acme: %w", ErrTenantBudget)), http.StatusTooManyRequests},
+		// An oversize body is a decode failure too, but 413, not 400.
+		{fmt.Errorf("%w: decode: %w", ErrInvalidConfig, &http.MaxBytesError{Limit: maxSubmitBytes}), http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
 		rec := httptest.NewRecorder()
@@ -231,12 +233,38 @@ func TestHTTPErrors(t *testing.T) {
 		})
 	}
 
+	// An oversize body is refused with 413 before it is decoded, and
+	// no job is created.
+	before := len(e.List())
+	huge := `{"tenant":"` + strings.Repeat("a", maxSubmitBytes) + `"}`
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize submit = %d, want 413", resp.StatusCode)
+	}
+	resp, err = http.Get(ts.URL + "/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var listed []JobStatus
+	err = json.NewDecoder(resp.Body).Decode(&listed)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(listed) != before {
+		t.Fatalf("GET /jobs lists %d jobs after an oversize submit, want %d", len(listed), before)
+	}
+
 	// Tenant exhaustion maps to 429: burn the 1-HIT tenant cap, then
 	// the next submission is refused.
 	first := postJob(t, ts, smallJob(31))
 	waitTerminal(t, e, first.ID)
 	body, _ := json.Marshal(smallJob(32))
-	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+	resp, err = http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

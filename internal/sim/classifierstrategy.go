@@ -116,7 +116,7 @@ func RunClassifierStrategy(p ClassifierParams, o Options) (*ClassifierStrategyRe
 		rng.Shuffle(len(predicted), func(i, j int) { predicted[i], predicted[j] = predicted[j], predicted[i] })
 
 		cc, err := core.ClassifierCoverage(core.NewTruthOracle(d), d.IDs(), predicted, p.SetSize, p.Tau, g,
-			core.ClassifierOptions{Rng: rng, Parallelism: engineWidth(t, p.Parallelism), Lockstep: t.Lockstep})
+			core.ClassifierOptions{Rng: rng, Parallelism: engineWidth(t, p.Parallelism)})
 		if err != nil {
 			return classifierObs{}, err
 		}

@@ -167,7 +167,7 @@ func runMultiCells(id string, cells []multiCell, p MultiParams, o Options) ([]Mu
 			return multiObs{}, err
 		}
 		oracle := core.NewTruthOracle(d)
-		opts := core.MultipleOptions{Rng: rng, Parallelism: engineWidth(t, p.Parallelism), Lockstep: t.Lockstep}
+		opts := core.MultipleOptions{Rng: rng, Parallelism: engineWidth(t, p.Parallelism)}
 		var heurTasks int
 		bruteGroups := c.groups
 		if c.groups == nil {

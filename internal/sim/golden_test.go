@@ -2,13 +2,13 @@ package sim
 
 // Golden-file regression for the harness artifacts: the files under
 // testdata/ hold each experiment's rendering produced by the
-// SEQUENTIAL engine (trial-parallelism 1, free-running audits), and
-// the test re-runs every experiment on a 4-wide trial pool with the
-// lockstep scheduler enabled — so one comparison pins three properties
-// at once: the artifact itself (any behavioral drift fails), the
-// trial-parallelism invariance of the harness, and the lockstep
-// engine's exact agreement with the sequential engine on
-// order-independent oracles.
+// SEQUENTIAL engine (trial-parallelism 1, engine width 1), and the
+// test re-runs every experiment on a 4-wide trial pool with the audit
+// engines at width 4, where they run in lockstep rounds — so one
+// comparison pins three properties at once: the artifact itself (any
+// behavioral drift fails), the trial-parallelism invariance of the
+// harness, and the lockstep engine's exact agreement with the
+// sequential engine on order-independent oracles.
 //
 // Regenerate after an intentional output change with
 //
@@ -60,7 +60,7 @@ func canonicalArtifact(res fmt.Stringer) string {
 // the ENGINE-parallelism axis: table2, the classifier-strategy harness,
 // the budget-frontier curve and the robustness-frontier grid must
 // render the sequential golden byte-for-byte when the audit engines run
-// their rounds at width 1 and at width 16 under lockstep. For
+// their lockstep rounds at widths 2 and 16. For
 // budget-frontier this is the acceptance property of budget governance
 // itself: the exhaustion point — and with it every partial verdict in
 // the curve — must not move with the pool width. For
@@ -82,8 +82,8 @@ func TestGoldenClassifierEngineParallelismInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatalf("missing golden (run with -update to generate): %v", err)
 		}
-		for _, width := range []int{1, 16} {
-			res, err := e.Run(Options{Seed: 42, Trials: 2, Lockstep: true, EngineParallelism: width})
+		for _, width := range []int{2, 16} {
+			res, err := e.Run(Options{Seed: 42, Trials: 2, EngineParallelism: width})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,7 +127,7 @@ func TestGoldenLockstepMatchesSequentialEngine(t *testing.T) {
 			if err != nil {
 				t.Fatalf("missing golden (run with -update to generate): %v", err)
 			}
-			res, err := e.Run(Options{Seed: 42, Trials: 2, Parallelism: 4, Lockstep: true})
+			res, err := e.Run(Options{Seed: 42, Trials: 2, Parallelism: 4, EngineParallelism: 4})
 			if err != nil {
 				t.Fatal(err)
 			}

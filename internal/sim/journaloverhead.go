@@ -130,7 +130,6 @@ func RunJournalOverhead(p JournalOverheadParams, o Options) (*JournalOverheadRes
 	cfgs := make([]experiment.Config, len(cells))
 	for i, c := range cells {
 		cfgs[i] = o.cell("journal-overhead/"+c.name, 0)
-		cfgs[i].Lockstep = true
 	}
 	results, err := experiment.RunMany(cfgs, func(cell int, t experiment.Trial) (journalTrialValue, error) {
 		d, err := dataset.FromCounts(s, counts, t.Rng)
@@ -149,7 +148,7 @@ func RunJournalOverhead(p JournalOverheadParams, o Options) (*JournalOverheadRes
 			oracle = jo
 		}
 		mres, err := core.MultipleCoverage(oracle, d.IDs(), p.SetSize, p.Tau, groups,
-			core.MultipleOptions{Rng: t.Rng, Parallelism: p.Parallelism, Lockstep: t.Lockstep, Ctx: t.Ctx})
+			core.MultipleOptions{Rng: t.Rng, Parallelism: p.Parallelism, Lockstep: true, Ctx: t.Ctx})
 		if err != nil {
 			return journalTrialValue{}, err
 		}

@@ -114,7 +114,6 @@ func RunLockstepLatency(p LatencyParams, o Options) (*LatencyResult, error) {
 	cfgs := make([]experiment.Config, len(cells))
 	for i, c := range cells {
 		cfgs[i] = o.cell("lockstep-latency/"+c.name, 0)
-		cfgs[i].Lockstep = c.lockstep
 	}
 	results, err := experiment.RunMany(cfgs, func(cell int, t experiment.Trial) (float64, error) {
 		d, err := dataset.FromCounts(s, counts, t.Rng)
@@ -123,7 +122,7 @@ func RunLockstepLatency(p LatencyParams, o Options) (*LatencyResult, error) {
 		}
 		oracle := core.DelayOracle{Inner: core.NewTruthOracle(d), Delay: p.Delay}
 		mres, err := core.MultipleCoverage(oracle, d.IDs(), p.SetSize, p.Tau, groups,
-			core.MultipleOptions{Rng: t.Rng, Parallelism: cells[cell].parallelism, Lockstep: t.Lockstep})
+			core.MultipleOptions{Rng: t.Rng, Parallelism: cells[cell].parallelism, Lockstep: cells[cell].lockstep})
 		if err != nil {
 			return 0, err
 		}

@@ -31,9 +31,10 @@ func TestLockstepLatencyRetainsSpeedup(t *testing.T) {
 	}
 }
 
-// TestSweepLockstepInvariant: the sweep's engine-parallelism axis must
-// render the identical grid with the lockstep scheduler switched on —
-// the Config pass-through from Options to the trial bodies.
+// TestSweepLockstepInvariant: the sweep's engine-parallelism axis runs
+// the sequential engine at width 1 and lockstep rounds at width 4, and
+// must render the identical grid and cache summaries on a 4-wide trial
+// pool as on the sequential harness.
 func TestSweepLockstepInvariant(t *testing.T) {
 	p := SweepParams{
 		Ns:             []int{2_000},
@@ -42,27 +43,30 @@ func TestSweepLockstepInvariant(t *testing.T) {
 		SetSize:        50,
 		MinorityCounts: []int{10, 8, 6},
 	}
-	free, err := RunSweep(p, Options{Seed: 23, Trials: 2})
+	seq, err := RunSweep(p, Options{Seed: 23, Trials: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lock, err := RunSweep(p, Options{Seed: 23, Trials: 2, Parallelism: 4, Lockstep: true})
+	wide, err := RunSweep(p, Options{Seed: 23, Trials: 2, Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range free.Rows {
-		if free.Rows[i].Tasks != lock.Rows[i].Tasks {
-			t.Errorf("row %d: tasks %.1f free-running vs %.1f lockstep",
-				i, free.Rows[i].Tasks, lock.Rows[i].Tasks)
+	for i := range seq.Rows {
+		if seq.Rows[i].Tasks != wide.Rows[i].Tasks {
+			t.Errorf("row %d: tasks %.1f at trial-parallelism 1 vs %.1f at 4",
+				i, seq.Rows[i].Tasks, wide.Rows[i].Tasks)
 		}
 	}
-	if len(free.Workloads) != len(lock.Workloads) {
+	if seq.Rows[0].Tasks != seq.Rows[1].Tasks {
+		t.Errorf("engine width 1 vs 4: tasks %.1f vs %.1f", seq.Rows[0].Tasks, seq.Rows[1].Tasks)
+	}
+	if len(seq.Workloads) != len(wide.Workloads) {
 		t.Fatalf("workload count diverged")
 	}
-	for i := range free.Workloads {
-		if free.Workloads[i] != lock.Workloads[i] {
+	for i := range seq.Workloads {
+		if seq.Workloads[i] != wide.Workloads[i] {
 			t.Errorf("workload %d cache summary diverged: %+v vs %+v",
-				i, free.Workloads[i], lock.Workloads[i])
+				i, seq.Workloads[i], wide.Workloads[i])
 		}
 	}
 }

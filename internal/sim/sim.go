@@ -40,19 +40,12 @@ type Options struct {
 	// the trials sequentially and reproduces the pre-engine harness
 	// byte-for-byte. Results are identical at every width.
 	Parallelism int
-	// Lockstep runs every audit inside the trials on the deterministic
-	// lockstep scheduler (core.MultipleOptions.Lockstep), so even cells
-	// with order-dependent oracles reproduce bit-identical artifacts
-	// across the engine-parallelism axis. Experiments whose oracles are
-	// order-independent (the TruthOracle-backed figures) render the
-	// identical artifact with or without it.
-	Lockstep bool
 	// EngineParallelism, when positive, overrides the audit engine's
-	// worker-pool width inside every trial body (the pool running
-	// super-group audits concurrently and lifting oracles into batched
-	// rounds); zero keeps each experiment's own default. Against the
-	// harness's order-independent oracles every width renders the
-	// identical artifact.
+	// width inside every trial body (above 1 the audits run in lockstep
+	// rounds, and the width bounds the pool lifting oracles into
+	// batched rounds); zero keeps each experiment's own default.
+	// Against the harness's order-independent oracles every width
+	// renders the identical artifact.
 	EngineParallelism int
 	// Timing optionally collects per-trial wall-clock across the
 	// experiment's cells (surfaced by cvgbench).
@@ -72,7 +65,6 @@ func (o Options) cell(name string, seedOffset int64) experiment.Config {
 		Seed:              o.Seed + seedOffset,
 		Trials:            o.Trials,
 		Parallelism:       o.Parallelism,
-		Lockstep:          o.Lockstep,
 		EngineParallelism: o.EngineParallelism,
 		Timing:            o.Timing,
 		Ctx:               o.Ctx,

@@ -138,7 +138,7 @@ func RunSweep(p SweepParams, o Options) (*SweepResult, error) {
 		c := cells[ci]
 		w := workloads[c.wi]
 		mres, err := core.MultipleCoverage(t.Oracle, w.ids, p.SetSize, w.tau, groups,
-			core.MultipleOptions{Rng: t.Rng, Parallelism: c.parallelism, Lockstep: t.Lockstep})
+			core.MultipleOptions{Rng: t.Rng, Parallelism: c.parallelism})
 		if err != nil {
 			return 0, err
 		}

@@ -91,11 +91,11 @@ func RunTable2(o Options) (*Table2Result, error) {
 
 		oracle := core.NewTruthOracle(d)
 		// The strategy comparison runs on the batched round engine
-		// (classifier default pool width 4, lockstep per the harness
-		// knob); against the TruthOracle the rendered table is
-		// byte-identical to the sequential engine's at every width.
+		// (classifier default width 4); against the TruthOracle the
+		// rendered table is byte-identical to the sequential engine's
+		// at every width.
 		cc, err := core.ClassifierCoverage(oracle, d.IDs(), predicted, setSize, tau, g,
-			core.ClassifierOptions{Rng: rng, Parallelism: engineWidth(t, 4), Lockstep: t.Lockstep})
+			core.ClassifierOptions{Rng: rng, Parallelism: engineWidth(t, 4)})
 		if err != nil {
 			return table2Obs{}, err
 		}

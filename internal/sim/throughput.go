@@ -203,7 +203,6 @@ func RunAuditThroughput(p ThroughputParams, o Options) (*ThroughputResult, error
 
 	multCfg := o.cell("audit-throughput/multiple", 0)
 	multCfg.Parallelism = 1
-	multCfg.Lockstep = true
 	mult, err := experiment.Run(multCfg, func(t experiment.Trial) (throughputObs, error) {
 		d, err := dataset.FromCounts(s, counts, t.Rng)
 		if err != nil {
@@ -225,7 +224,6 @@ func RunAuditThroughput(p ThroughputParams, o Options) (*ThroughputResult, error
 
 	clsCfg := o.cell("audit-throughput/classifier", 500)
 	clsCfg.Parallelism = 1
-	clsCfg.Lockstep = true
 	cls, err := experiment.Run(clsCfg, func(t experiment.Trial) (throughputObs, error) {
 		d, err := dataset.BinaryWithMinority(p.ClassifierN, p.ClassifierTP, t.Rng)
 		if err != nil {

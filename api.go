@@ -260,25 +260,45 @@ func RunTrials(trials, parallelism int, seed int64, trial func(i int, rng *rand.
 
 // Auditor runs coverage audits with fixed parameters against an
 // oracle. The zero value is not usable; construct with NewAuditor.
+//
+// The stack setters WithCache, WithBudget, WithJournal and WithTrust
+// are order-free: in whatever order they are called, the auditor
+// assembles the same middleware stack over its oracle — cache, trust,
+// journal, governor, top to bottom (core.NewStack documents why). Each
+// stack setter rebuilds the stack, so configure the auditor before its
+// first audit: a later call starts a fresh stack (empty cache, zero
+// governor spend), and the last call of each setter wins.
 type Auditor struct {
-	oracle      Oracle
+	base        Oracle
 	tau         int
 	setSize     int
 	seed        int64
 	parallelism int
 	lockstep    bool
 	retry       core.RetryPolicy
-	cache       *core.CachingOracle
-	budget      *core.BudgetedOracle
-	journaled   *core.JournalingOracle
-	trust       *core.TrustOracle
-	ctx         context.Context
+	cfg         core.StackConfig
+	stack       *core.Stack
 }
 
 // NewAuditor builds an auditor asking the oracle set queries of at
 // most setSize objects and requiring tau objects for coverage.
 func NewAuditor(o Oracle, tau, setSize int) *Auditor {
-	return &Auditor{oracle: o, tau: tau, setSize: setSize, seed: 1}
+	return &Auditor{base: o, stack: &core.Stack{Top: o}, tau: tau, setSize: setSize, seed: 1}
+}
+
+// restack applies set to the stack configuration and rebuilds the
+// stack over the base oracle; on error the auditor keeps its previous
+// configuration and stack. Only an invalid trust config can fail, and
+// WithTrust never commits one, so the other setters drop the error.
+func (a *Auditor) restack(set func(*core.StackConfig)) error {
+	cfg := a.cfg
+	set(&cfg)
+	st, err := core.NewStack(a.base, cfg)
+	if err != nil {
+		return err
+	}
+	a.cfg, a.stack = cfg, st
+	return nil
 }
 
 // WithSeed fixes the seed of the auditor's internal sampling phases
@@ -310,22 +330,20 @@ func (a *Auditor) WithParallelism(parallelism int) *Auditor {
 // WithLockstep runs the lockstep rounds of WithParallelism at
 // parallelism <= 1 too; it matters only there. Use it when an
 // order-dependent oracle (the simulated crowd) must give the same
-// answers at width 1 as at every other width.
+// answers at width 1 as at every other width. WithJournal and
+// WithTrust imply it.
 func (a *Auditor) WithLockstep() *Auditor {
 	a.lockstep = true
 	return a
 }
 
-// WithCache interposes a deduplicating query cache between the
-// auditor and the oracle: identical HITs (canonicalized id-set plus
-// group for set queries, object id for point queries) are paid for
-// once across every subsequent audit through this auditor. Transient
-// errors are never cached.
+// WithCache installs a deduplicating query cache on top of the stack:
+// identical HITs (canonicalized id-set plus group for set queries,
+// object id for point queries) are paid for once across every
+// subsequent audit through this auditor, and never charge the budget.
+// Transient errors are never cached.
 func (a *Auditor) WithCache() *Auditor {
-	if a.cache == nil {
-		a.cache = core.NewCachingOracle(a.oracle)
-		a.oracle = a.cache
-	}
+	_ = a.restack(func(c *core.StackConfig) { c.Cache = true })
 	return a
 }
 
@@ -344,21 +362,10 @@ func (a *Auditor) WithRetry(policy RetryPolicy) *Auditor {
 // unsettled groups carrying best-effort bounds) instead of an error;
 // on the lockstep engine the exhaustion point, partial verdicts, task
 // counts and ledger spend are byte-identical at every WithParallelism
-// value. Like WithCache, the governor wraps the oracle stack as built
-// so far: call WithBudget before WithCache to let cache hits answer
-// for free without charging the budget, after it to charge every
-// query. Combine MaxSpend with SimulatedCrowd.HITCost (or your
+// value. Combine MaxSpend with SimulatedCrowd.HITCost (or your
 // platform's CostFunc) to denominate the cap in ledger dollars.
-//
-// The first call wins: one governor (and its accumulated spend) lives
-// for the auditor's lifetime, so later WithBudget calls are no-ops and
-// their argument is ignored — build a new Auditor to audit under a
-// different budget.
 func (a *Auditor) WithBudget(b Budget) *Auditor {
-	if a.budget == nil {
-		a.budget = core.NewBudgetedOracle(a.oracle, b)
-		a.oracle = a.budget
-	}
+	_ = a.restack(func(c *core.StackConfig) { c.Budget = &b })
 	return a
 }
 
@@ -374,65 +381,40 @@ func (a *Auditor) WithBudget(b Budget) *Auditor {
 //
 // WithJournal implies WithLockstep: only the deterministic round
 // scheduler makes the round sequence a pure function of committed
-// answers, which is what replay leans on. Call it after WithBudget
-// (the governor's ledger is snapshotted per round and restored on
-// replay) and before WithCache (a cache above the journal re-fills
-// deterministically from replayed answers). Like the other stack
-// builders, the first call wins.
+// answers, which is what replay leans on.
 func (a *Auditor) WithJournal(j RoundJournal, replay []RoundRecord) *Auditor {
-	if a.journaled == nil {
-		a.journaled = core.NewJournalingOracle(a.oracle, j, replay, a.budget).SetContext(a.ctx)
-		a.oracle = a.journaled
-		a.lockstep = true
-	}
+	_ = a.restack(func(c *core.StackConfig) { c.Journal, c.Replay = j, replay })
 	return a
 }
 
-// WithTrust interposes the adversarial-robustness middleware between
-// the auditor and the oracle stack built so far: gold-standard probe
-// HITs (TrustConfig.Probes, cycled on the policy's deterministic
-// schedule) are appended to committed set rounds, every worker's raw
-// answers from TrustConfig.Feed are scored by a sequential likelihood
-// ratio against the gold answers and the round consensus, and workers
-// the policy distrusts are pushed to TrustConfig.Screen — excluded
-// from future assignment draws at round boundaries only. For the
-// simulated crowd, wire Feed and Screen from
+// WithTrust installs the adversarial-robustness middleware:
+// gold-standard probe HITs (TrustConfig.Probes, cycled on the policy's
+// deterministic schedule) are appended to committed set rounds, every
+// worker's raw answers from TrustConfig.Feed are scored by a
+// sequential likelihood ratio against the gold answers and the round
+// consensus, and workers the policy distrusts are pushed to
+// TrustConfig.Screen — excluded from future assignment draws at round
+// boundaries only. For the simulated crowd, wire Feed and Screen from
 // SimulatedCrowd.AnswerFeed and SimulatedCrowd.Screener.
 //
 // WithTrust implies WithLockstep: the probe schedule rides the
 // committed round sequence, which only the lockstep scheduler makes a
 // pure function of committed answers — and with it, trust scores and
 // screening decisions are byte-identical at every WithParallelism
-// value. Call it after WithJournal so the journal records (and
-// replays) the probe-augmented rounds: a resumed audit re-issues the
-// identical probes and re-reads the surviving feed, restoring every
-// trust score exactly. The feed is process-local, not journaled — an
-// in-process resume (same platform, surviving ResponseLog) restores
-// scores byte-identically, while a fresh process replays verdicts and
-// the probe schedule exactly but starts trust evidence empty. Like
-// the other stack builders, the first call wins. It returns an error
-// for an invalid policy or probe battery.
+// value. It returns an error for an invalid policy or probe battery
+// and then leaves the auditor unchanged.
 func (a *Auditor) WithTrust(cfg TrustConfig) (*Auditor, error) {
-	if a.trust == nil {
-		t, err := core.NewTrustOracle(a.oracle, cfg)
-		if err != nil {
-			return a, err
-		}
-		a.trust = t
-		a.oracle = t
-		a.lockstep = true
-	}
-	return a, nil
+	return a, a.restack(func(c *core.StackConfig) { c.Trust = &cfg })
 }
 
 // TrustStats returns the trust middleware's report — per-worker
 // scores, probes issued, workers excluded; ok is false when WithTrust
 // was never enabled.
 func (a *Auditor) TrustStats() (report TrustReport, ok bool) {
-	if a.trust == nil {
+	if a.stack.Trust == nil {
 		return TrustReport{}, false
 	}
-	return a.trust.Report(), true
+	return a.stack.Trust.Report(), true
 }
 
 // WithContext threads ctx through every audit of this auditor:
@@ -441,9 +423,9 @@ func (a *Auditor) TrustStats() (report TrustReport, ok bool) {
 // half-posts a round — with WithJournal, every round either committed
 // and was journaled, or never happened.
 func (a *Auditor) WithContext(ctx context.Context) *Auditor {
-	a.ctx = ctx
-	if a.journaled != nil {
-		a.journaled.SetContext(ctx)
+	a.cfg.Ctx = ctx
+	if a.stack.Journal != nil {
+		a.stack.Journal.SetContext(ctx)
 	}
 	return a
 }
@@ -453,28 +435,28 @@ func (a *Auditor) WithContext(ctx context.Context) *Auditor {
 // the total rounds committed. ok is false when WithJournal was never
 // enabled.
 func (a *Auditor) JournalStats() (replayed, rounds int, ok bool) {
-	if a.journaled == nil {
+	if a.stack.Journal == nil {
 		return 0, 0, false
 	}
-	return a.journaled.Replayed(), a.journaled.Rounds(), true
+	return a.stack.Journal.Replayed(), a.stack.Journal.Rounds(), true
 }
 
 // BudgetSpent returns the shared governor's committed consumption; ok
 // is false when WithBudget was never enabled.
 func (a *Auditor) BudgetSpent() (spent BudgetSpent, ok bool) {
-	if a.budget == nil {
+	if a.stack.Governor == nil {
 		return BudgetSpent{}, false
 	}
-	return a.budget.Spent(), true
+	return a.stack.Governor.Spent(), true
 }
 
 // CacheStats returns the hit/miss tally of the query cache; ok is
 // false when WithCache was never enabled.
 func (a *Auditor) CacheStats() (stats CacheStats, ok bool) {
-	if a.cache == nil {
+	if a.stack.Cache == nil {
 		return CacheStats{}, false
 	}
-	return a.cache.Stats(), true
+	return a.stack.Cache.Stats(), true
 }
 
 // multipleOptions assembles the engine options shared by the
@@ -483,28 +465,28 @@ func (a *Auditor) multipleOptions() core.MultipleOptions {
 	return core.MultipleOptions{
 		Rng:         rand.New(rand.NewSource(a.seed)),
 		Parallelism: a.parallelism,
-		Lockstep:    a.lockstep,
+		Lockstep:    a.lockstep || a.stack.Lockstep(),
 		Retry:       a.retry,
-		Ctx:         a.ctx,
+		Ctx:         a.cfg.Ctx,
 	}
 }
 
 // AuditGroup decides whether one group is covered (Algorithm 1).
 func (a *Auditor) AuditGroup(ids []ObjectID, g Group) (GroupResult, error) {
-	return core.GroupCoverage(a.oracle, ids, a.setSize, a.tau, g)
+	return core.GroupCoverage(a.stack.Top, ids, a.setSize, a.tau, g)
 }
 
 // AuditBaseline decides coverage with the naive point-query scan
 // (Algorithm 7), for cost comparison.
 func (a *Auditor) AuditBaseline(ids []ObjectID, g Group) (GroupResult, error) {
-	return core.BaseCoverage(a.oracle, ids, a.tau, g)
+	return core.BaseCoverage(a.stack.Top, ids, a.tau, g)
 }
 
 // AuditGroups decides coverage for several groups with the
 // super-group aggregation heuristic (Algorithm 2), on the concurrent
 // engine when WithParallelism is set.
 func (a *Auditor) AuditGroups(ids []ObjectID, groups []Group) (*MultipleResult, error) {
-	return core.MultipleCoverage(a.oracle, ids, a.setSize, a.tau, groups, a.multipleOptions())
+	return core.MultipleCoverage(a.stack.Top, ids, a.setSize, a.tau, groups, a.multipleOptions())
 }
 
 // AuditAttribute audits every value of one schema attribute.
@@ -518,7 +500,7 @@ func (a *Auditor) AuditAttribute(ids []ObjectID, s *Schema, attr int) (*Multiple
 // AuditIntersectional discovers the maximal uncovered patterns over
 // all attributes of the schema (Algorithm 3).
 func (a *Auditor) AuditIntersectional(ids []ObjectID, s *Schema) (*IntersectionalResult, error) {
-	return core.IntersectionalCoverage(a.oracle, ids, a.setSize, a.tau, s, a.multipleOptions())
+	return core.IntersectionalCoverage(a.stack.Top, ids, a.setSize, a.tau, s, a.multipleOptions())
 }
 
 // AuditWithClassifier audits one group using a pre-trained
@@ -532,13 +514,13 @@ func (a *Auditor) AuditIntersectional(ids []ObjectID, s *Schema) (*Intersectiona
 // through the order-dependent simulated crowd. Results equal the sequential engine
 // exactly for order-independent oracles.
 func (a *Auditor) AuditWithClassifier(ids, predicted []ObjectID, g Group) (ClassifierResult, error) {
-	return core.ClassifierCoverage(a.oracle, ids, predicted, a.setSize, a.tau, g,
+	return core.ClassifierCoverage(a.stack.Top, ids, predicted, a.setSize, a.tau, g,
 		core.ClassifierOptions{
 			Rng:         rand.New(rand.NewSource(a.seed)),
 			Parallelism: a.parallelism,
-			Lockstep:    a.lockstep,
+			Lockstep:    a.lockstep || a.stack.Lockstep(),
 			Retry:       a.retry,
-			Ctx:         a.ctx,
+			Ctx:         a.cfg.Ctx,
 		})
 }
 

@@ -1,6 +1,7 @@
 package imagecvg
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -289,5 +290,67 @@ func TestAuditorWithBudget(t *testing.T) {
 		t.Errorf("ledger spend $%.2f exceeds the $5.00 cap", cost.TotalCost)
 	} else if cost.TotalHITs == 0 {
 		t.Error("capped audit should still have posted some HITs")
+	}
+}
+
+// memJournal is an in-memory RoundJournal.
+type memJournal struct{ recs []RoundRecord }
+
+func (m *memJournal) Append(rec RoundRecord) error {
+	m.recs = append(m.recs, rec)
+	return nil
+}
+
+// TestAuditorStackOrderIndependent pins the order-free stack setters:
+// the same settings applied in opposite orders assemble the same
+// stack — the governor under the cache, so a cache hit is never
+// charged — and every observable agrees: results, governor spend,
+// cache and journal tallies.
+func TestAuditorStackOrderIndependent(t *testing.T) {
+	ds, err := GenerateBinary(1000, 20, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := FemaleGroup(ds.Schema())
+	predicted := ds.PredictedSet(g, 15, 30)
+	budget := Budget{MaxHITs: 180}
+	run := func(configure func(a *Auditor, j RoundJournal) *Auditor) string {
+		jnl := &memJournal{}
+		a := configure(NewAuditor(NewTruthOracle(ds), 50, 50).WithSeed(3), jnl)
+		var out strings.Builder
+		for i := 0; i < 2; i++ {
+			res, err := a.AuditGroup(ds.IDs(), g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&out, "group %+v\n", res)
+		}
+		groupSpent, _ := a.BudgetSpent()
+		if groupSpent.HITs() != 159 {
+			t.Errorf("two cached group audits spent %d HITs, want 159", groupSpent.HITs())
+		}
+		cr, err := a.AuditWithClassifier(ds.IDs(), predicted, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !cr.Exhausted {
+			t.Errorf("classifier audit under the spent budget must exhaust: %+v", cr)
+		}
+		spent, _ := a.BudgetSpent()
+		cache, _ := a.CacheStats()
+		replayed, rounds, _ := a.JournalStats()
+		fmt.Fprintf(&out, "classifier %+v\nspent %+v\ncache %+v\njournal %d/%d/%d",
+			cr, spent, cache, replayed, rounds, len(jnl.recs))
+		return out.String()
+	}
+	forward := run(func(a *Auditor, j RoundJournal) *Auditor {
+		return a.WithLockstep().WithBudget(budget).WithJournal(j, nil).WithCache()
+	})
+	backward := run(func(a *Auditor, j RoundJournal) *Auditor {
+		return a.WithCache().WithJournal(j, nil).WithBudget(budget).WithLockstep()
+	})
+	if forward != backward {
+		t.Errorf("setter order changed the audit:\n--- budget, journal, cache ---\n%s\n--- cache, journal, budget ---\n%s",
+			forward, backward)
 	}
 }

@@ -49,12 +49,15 @@
 //     With an order-independent oracle the verdicts and task counts
 //     are identical to the sequential engine at every parallelism
 //     level.
-//   - Auditor.WithCache interposes a deduplicating query cache keyed
+//   - Auditor.WithCache installs a deduplicating query cache keyed
 //     on the canonicalized id-set and group (length-prefixed, so no
 //     crafted input can collide two distinct queries onto one cached
 //     answer), so a HIT already paid for is never posted twice;
 //     transient errors are never cached, and Auditor.WithRetry
-//     re-posts them instead of aborting.
+//     re-posts them instead of aborting. The stack setters (WithCache,
+//     WithBudget, WithJournal, WithTrust) are order-free: the auditor
+//     always assembles cache, trust, journal and governor in one fixed
+//     order over the oracle.
 //
 // # Budget governance
 //

@@ -146,14 +146,14 @@ func (a *Auditor) PlanRepair(s *Schema, res *IntersectionalResult) (*RepairPlan,
 // parallelism in-flight queries, bounding audit latency by
 // 1+ceil(log2 n) rounds. The oracle must be safe for concurrent use.
 func (a *Auditor) AuditGroupBatched(ids []ObjectID, g Group, parallelism int) (RoundsResult, error) {
-	return core.GroupCoverageRounds(a.oracle, ids, a.setSize, a.tau, g, parallelism)
+	return core.GroupCoverageRounds(a.stack.Top, ids, a.setSize, a.tau, g, parallelism)
 }
 
 // AuditGroupTraced is AuditGroup with execution-tree recording; the
 // returned trace renders as text (String) or Graphviz (DOT).
 func (a *Auditor) AuditGroupTraced(ids []ObjectID, g Group) (GroupResult, *ExecutionTrace, error) {
 	trace := &ExecutionTrace{}
-	res, err := core.GroupCoverageOpt(a.oracle, ids, a.setSize, a.tau, g,
+	res, err := core.GroupCoverageOpt(a.stack.Top, ids, a.setSize, a.tau, g,
 		core.GroupCoverageOptions{Trace: trace})
 	return res, trace, err
 }
@@ -163,6 +163,6 @@ func (a *Auditor) AuditGroupTraced(ids []ObjectID, g Group) (GroupResult, *Execu
 // budget of maxTasks queries. Unlike AuditGroup it may return
 // undecided, and its verdicts are only probabilistic.
 func (a *Auditor) AuditSampled(ids []ObjectID, g Group, delta float64, maxTasks int) (SampledResult, error) {
-	return core.SampledCoverage(a.oracle, ids, a.tau, delta, maxTasks, g,
+	return core.SampledCoverage(a.stack.Top, ids, a.tau, delta, maxTasks, g,
 		rand.New(rand.NewSource(a.seed)))
 }

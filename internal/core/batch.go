@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync"
+
 	"imagecvg/internal/dataset"
 	"imagecvg/internal/pattern"
 )
@@ -68,25 +70,47 @@ func NewBatchAdapter(o Oracle, parallelism int) BatchOracle {
 
 // AsBatchOracle returns o itself when it already implements
 // BatchOracle natively, and otherwise lifts it with NewBatchAdapter.
-// The caching, retry and budget middlewares additionally inherit the
-// caller's parallelism for the rounds they forward themselves.
+// The middlewares (cache, trust, journal, governor, retry) additionally
+// inherit the caller's parallelism for the rounds they forward
+// themselves.
 func AsBatchOracle(o Oracle, parallelism int) BatchOracle {
-	switch v := o.(type) {
-	case *CachingOracle:
-		return v.WithBatchParallelism(parallelism)
-	case *retryOracle:
-		return v.withBatchParallelism(parallelism)
-	case *BudgetedOracle:
-		return v.withBatchParallelism(parallelism)
-	case *JournalingOracle:
-		return v.withBatchParallelism(parallelism)
-	case *TrustOracle:
-		return v.withBatchParallelism(parallelism)
+	if m, ok := o.(pooledMiddleware); ok {
+		m.widen(parallelism)
+		return m
 	}
 	if bo, ok := o.(BatchOracle); ok {
 		return bo
 	}
 	return NewBatchAdapter(o, parallelism)
+}
+
+// pooledMiddleware is a middleware that lifts a non-batching inner
+// oracle into its rounds with its own worker pool.
+type pooledMiddleware interface {
+	BatchOracle
+	widen(parallelism int)
+}
+
+// poolWidth is a middleware's forwarding-pool width, embedded by every
+// pooledMiddleware. AsBatchOracle widens it to the caller's width; it
+// never narrows, and the zero value is width 1.
+type poolWidth struct {
+	mu sync.Mutex
+	n  int
+}
+
+// widen raises the width to parallelism.
+func (w *poolWidth) widen(parallelism int) {
+	w.mu.Lock()
+	w.n = max(w.n, parallelism)
+	w.mu.Unlock()
+}
+
+// width returns the current width (at least 1).
+func (w *poolWidth) width() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return max(w.n, 1)
 }
 
 // SetQuery implements Oracle by delegation.

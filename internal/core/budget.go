@@ -109,17 +109,16 @@ func (s BudgetSpent) HITs() int { return s.Point + s.Set + s.ReverseSet }
 // makes the exhaustion point a pure function of the committed query
 // sequence, byte-identical at every Parallelism value.
 //
-// Place the governor directly over the platform (or its retry/cache
-// stack's inner oracle) so it charges real HITs: a cache in front of
-// the governor dedups for free, a cache behind it would let hits be
-// charged. Safe for concurrent use when the inner oracle is.
+// NewStack places it directly over the platform so it charges real
+// HITs. Safe for concurrent use when the inner oracle is.
 type BudgetedOracle struct {
 	inner  Oracle
 	budget Budget
 
-	mu         sync.Mutex
-	spent      BudgetSpent
-	batchWidth int
+	poolWidth
+
+	mu    sync.Mutex
+	spent BudgetSpent
 }
 
 // normalizeBudget clamps negative caps to zero (the cap's "disabled"
@@ -151,23 +150,7 @@ func normalizeBudget(b Budget) Budget {
 // (inactive) budget still counts spend but never refuses a query;
 // negative caps normalize to zero (disabled).
 func NewBudgetedOracle(inner Oracle, b Budget) *BudgetedOracle {
-	return &BudgetedOracle{inner: inner, budget: normalizeBudget(b), batchWidth: 1}
-}
-
-// applyBudget resolves the governor for one audit: an oracle that
-// already IS a governor (the Auditor shares one across audits) is
-// reused — opts-level budgets never double-wrap — and otherwise an
-// active budget wraps the oracle here. The returned oracle is what the
-// audit must query through; gov is nil when no budget governs.
-func applyBudget(o Oracle, b Budget) (Oracle, *BudgetedOracle) {
-	if gov, ok := o.(*BudgetedOracle); ok {
-		return o, gov
-	}
-	if b = normalizeBudget(b); !b.Active() {
-		return o, nil
-	}
-	gov := NewBudgetedOracle(o, b)
-	return gov, gov
+	return &BudgetedOracle{inner: inner, budget: normalizeBudget(b)}
 }
 
 // Budget returns the governor's configured caps.
@@ -196,25 +179,6 @@ func (g *BudgetedOracle) restoreSpent(s BudgetSpent) {
 	g.mu.Lock()
 	g.spent = s
 	g.mu.Unlock()
-}
-
-// withBatchParallelism widens the pool used to forward admitted
-// prefixes when the inner oracle has no native batching; AsBatchOracle
-// propagates the caller's width here.
-func (g *BudgetedOracle) withBatchParallelism(parallelism int) *BudgetedOracle {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if parallelism > g.batchWidth {
-		g.batchWidth = parallelism
-	}
-	return g
-}
-
-// width returns the current forwarding pool width.
-func (g *BudgetedOracle) width() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.batchWidth
 }
 
 // kindCap returns the kind's tally pointer and its cap.

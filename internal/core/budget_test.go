@@ -198,18 +198,21 @@ func TestMultipleCoverageBudgetExhaustionDeterministicUnderLockstep(t *testing.T
 func TestMultipleCoverageBudgetLargeCapMatchesUnbudgeted(t *testing.T) {
 	d, _ := dataset.BinaryWithMinority(300, 40, rand.New(rand.NewSource(6)))
 	groups := []pattern.Group{dataset.Female(d.Schema()), dataset.Male(d.Schema())}
-	run := func(b Budget) *MultipleResult {
-		res, err := MultipleCoverage(NewTruthOracle(d), d.IDs(), 15, 30, groups, MultipleOptions{
-			Rng:    rand.New(rand.NewSource(7)),
-			Budget: b,
+	run := func(b *Budget) *MultipleResult {
+		st, err := NewStack(NewTruthOracle(d), StackConfig{Budget: b})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := MultipleCoverage(st.Top, d.IDs(), 15, 30, groups, MultipleOptions{
+			Rng: rand.New(rand.NewSource(7)),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	free := run(Budget{})
-	capped := run(Budget{MaxHITs: 1 << 20})
+	free := run(nil)
+	capped := run(&Budget{MaxHITs: 1 << 20})
 	if fmt.Sprintf("%+v", free.Results) != fmt.Sprintf("%+v", capped.Results) ||
 		free.Tasks != capped.Tasks || capped.Exhausted {
 		t.Errorf("a non-binding budget changed the audit:\nfree   %+v tasks=%d\ncapped %+v tasks=%d",
@@ -361,16 +364,20 @@ func TestIntersectionalBudgetExhaustion(t *testing.T) {
 	}
 }
 
-// TestAuditSharedGovernorSpansAudits: an oracle that already is a
-// governor is reused (applyBudget never double-wraps), so one budget
-// spans consecutive audits the way a deployment's customer cap does.
+// TestSharedGovernorSpansAudits: consecutive audits through one
+// stack share its governor, so one budget spans them the way a
+// deployment's customer cap does — also with a journal above the
+// governor.
 func TestSharedGovernorSpansAudits(t *testing.T) {
 	d, _ := dataset.BinaryWithMinority(200, 60, rand.New(rand.NewSource(12)))
 	groups := []pattern.Group{dataset.Female(d.Schema()), dataset.Male(d.Schema())}
-	gov := NewBudgetedOracle(NewTruthOracle(d), Budget{MaxHITs: 30})
-	// opts.Budget is ignored in favor of the existing governor.
-	opts := MultipleOptions{Rng: rand.New(rand.NewSource(13)), Budget: Budget{MaxHITs: 5}}
-	if _, err := MultipleCoverage(gov, d.IDs(), 10, 20, groups, opts); err != nil {
+	st, err := NewStack(NewTruthOracle(d), StackConfig{Budget: &Budget{MaxHITs: 30}, Journal: &memJournal{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gov := st.Governor
+	opts := MultipleOptions{Rng: rand.New(rand.NewSource(13)), Lockstep: st.Lockstep()}
+	if _, err := MultipleCoverage(st.Top, d.IDs(), 10, 20, groups, opts); err != nil {
 		t.Fatal(err)
 	}
 	first := gov.Spent().HITs()
@@ -378,7 +385,7 @@ func TestSharedGovernorSpansAudits(t *testing.T) {
 		t.Fatalf("first audit spent %d of 30", first)
 	}
 	opts.Rng = rand.New(rand.NewSource(14))
-	if _, err := MultipleCoverage(gov, d.IDs(), 10, 20, groups, opts); err != nil {
+	if _, err := MultipleCoverage(st.Top, d.IDs(), 10, 20, groups, opts); err != nil {
 		t.Fatal(err)
 	}
 	if total := gov.Spent().HITs(); total > 30 {

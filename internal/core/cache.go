@@ -44,13 +44,13 @@ func (s CacheStats) HitRate() float64 {
 // equivalence experiments comparing engine variants must run uncached.
 type CachingOracle struct {
 	inner Oracle
+	poolWidth
 
-	mu         sync.Mutex
-	answers    map[string]bool
-	labels     map[dataset.ObjectID][]int
-	inflight   map[string]*inflightCall
-	stats      CacheStats
-	batchWidth int
+	mu       sync.Mutex
+	answers  map[string]bool
+	labels   map[dataset.ObjectID][]int
+	inflight map[string]*inflightCall
+	stats    CacheStats
 
 	// Key-building scratch, guarded by mu. Lookups go through
 	// map[string(bytes)] expressions, which Go compiles without
@@ -76,11 +76,10 @@ type inflightCall struct {
 // NewCachingOracle wraps an oracle with the deduplicating cache.
 func NewCachingOracle(inner Oracle) *CachingOracle {
 	return &CachingOracle{
-		inner:      inner,
-		answers:    make(map[string]bool),
-		labels:     make(map[dataset.ObjectID][]int),
-		inflight:   make(map[string]*inflightCall),
-		batchWidth: 1,
+		inner:    inner,
+		answers:  make(map[string]bool),
+		labels:   make(map[dataset.ObjectID][]int),
+		inflight: make(map[string]*inflightCall),
 	}
 }
 
@@ -90,19 +89,8 @@ func NewCachingOracle(inner Oracle) *CachingOracle {
 // width here automatically, so a cached oracle inside a batched audit
 // keeps the audit's parallelism instead of serializing every round.
 func (c *CachingOracle) WithBatchParallelism(parallelism int) *CachingOracle {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if parallelism > c.batchWidth {
-		c.batchWidth = parallelism
-	}
+	c.widen(parallelism)
 	return c
-}
-
-// width returns the current miss-forwarding pool width.
-func (c *CachingOracle) width() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.batchWidth
 }
 
 // Stats returns the hit/miss tally so far.

@@ -66,13 +66,6 @@ type ClassifierOptions struct {
 	// under the wrapper's lock, on retries only, so a failure-free run
 	// is unaffected.
 	Retry RetryPolicy
-	// Budget caps the committed crowd queries of this audit (see
-	// MultipleOptions.Budget): exhaustion yields a partial
-	// ClassifierResult (Exhausted set, Count the verified lower bound)
-	// instead of an error, and the batched engine narrows its
-	// speculative rounds to the remaining headroom. An oracle that
-	// already is a *BudgetedOracle is reused and this field is ignored.
-	Budget Budget
 	// Ctx cancels the audit at round boundaries (see
 	// MultipleOptions.Ctx). Nil means context.Background().
 	Ctx context.Context
@@ -167,7 +160,7 @@ func ClassifierCoverage(o Oracle, ids, predicted []dataset.ObjectID, n, tau int,
 		inPredicted[id] = true
 	}
 
-	// A budget governor, when configured, wraps the oracle before the
+	// The stack's budget governor, wherever it sits, lies below the
 	// retry layer: a retried HIT is a re-posted HIT and charges the
 	// budget again, while an exhaustion refusal is not transient and
 	// never retries. Transient-failure handling wraps once per audit (a
@@ -177,7 +170,7 @@ func ClassifierCoverage(o Oracle, ids, predicted []dataset.ObjectID, n, tau int,
 	if err := ctx.Err(); err != nil {
 		return res, err
 	}
-	o, gov := applyBudget(o, opts.Budget)
+	gov := governorOf(o)
 	o = withRetry(ctx, o, opts.Retry, opts.Rng)
 
 	// Without predictions there is nothing to exploit.

@@ -110,12 +110,12 @@
 // committed answers — never of scheduling or Parallelism — a
 // serialized log of the committed rounds is a complete checkpoint of
 // an audit. The JournalingOracle middleware (journal.go) realizes
-// that: wrapped around the top of an oracle stack it appends one
-// RoundRecord per committed batch round (the requests, the positional
-// answers, how the round ended, and a snapshot of the budget
-// governor's ledger) to a RoundJournal, and in replay mode it answers
-// the first K rounds from a previous run's records without touching
-// the inner oracle at all, switching live when the journal runs dry.
+// that: it appends one RoundRecord per committed batch round (the
+// requests, the positional answers, how the round ended, and a
+// snapshot of the budget governor's ledger) to a RoundJournal, and in
+// replay mode it answers the first K rounds from a previous run's
+// records without touching the inner oracle at all, switching live
+// when the journal runs dry.
 // Replay verifies that the resumed run issues byte-identical requests
 // (ErrJournalMismatch otherwise — a journal is only valid for the
 // exact audit configuration that wrote it) and restores the governor's
@@ -126,10 +126,8 @@
 // spend byte-identical to a run that was never interrupted (the
 // kill/resume conformance matrix in internal/crowd proves this at
 // P in {1, 2, 4, 16} for all three audit algorithms, budgeted and
-// unbudgeted). Journaling composes with the stack order cache ->
-// journal -> governor -> platform: the cache above the journal replays
-// its misses deterministically and re-fills from the recorded answers;
-// a governor below it is snapshot/restored per round.
+// unbudgeted). NewStack (stack.go) places the journal in the one legal
+// stack order.
 //
 // Cancellation rides the same round boundaries: MultipleOptions.Ctx /
 // ClassifierOptions.Ctx thread a context.Context through the engines,
@@ -166,9 +164,8 @@
 // The trust middleware (trust.go) defends an audit against workers who
 // answer strategically rather than noisily — the crowd simulator's
 // WorkerStrategy overlays (lazy-yes, random-spam, colluding-liar) model
-// exactly that. A TrustOracle wraps the stack above the journal (full
-// order: cache -> trust -> journal -> governor -> platform) and does
-// three things at round boundaries only:
+// exactly that. A TrustOracle (placed by NewStack) does three things
+// at round boundaries only:
 //
 //   - it appends one gold-standard probe HIT (a singleton set query
 //     whose true answer is known from ground truth, built by

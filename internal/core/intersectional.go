@@ -67,10 +67,6 @@ func IntersectionalCoverage(o Oracle, ids []dataset.ObjectID, n, tau int, s *pat
 		return nil, errors.New("core: nil schema")
 	}
 	opts.Multi = true
-	// One governor spans both phases: the leaf audits and the
-	// resolution re-audits draw from the same budget (MultipleCoverage
-	// reuses an oracle that already is a governor).
-	o, _ = applyBudget(o, opts.Budget)
 	groups := pattern.SubgroupGroups(s)
 	mres, err := MultipleCoverage(o, ids, n, tau, groups, opts)
 	if err != nil {

@@ -78,10 +78,9 @@ type RoundJournal interface {
 // oracle stack) and silently replaying it would fabricate answers.
 var ErrJournalMismatch = errors.New("core: journal replay mismatch")
 
-// JournalingOracle is the checkpoint/resume middleware. Wrapped around
-// the top of an oracle stack (above the budget governor, below a
-// cache) it records every committed round to the journal, and — when
-// constructed with the records of a previous run — answers those
+// JournalingOracle is the checkpoint/resume middleware (NewStack
+// places it). It records every committed round to the journal, and —
+// when constructed with the records of a previous run — answers those
 // rounds by replay without touching the inner oracle, restoring the
 // governor's ledger from each record's snapshot, then switches live.
 //
@@ -95,13 +94,13 @@ type JournalingOracle struct {
 	inner   Oracle
 	journal RoundJournal
 	gov     *BudgetedOracle
+	poolWidth
 
-	mu         sync.Mutex
-	ctx        context.Context
-	round      int
-	replay     []RoundRecord
-	replayed   int
-	batchWidth int
+	mu       sync.Mutex
+	ctx      context.Context
+	round    int
+	replay   []RoundRecord
+	replayed int
 }
 
 // NewJournalingOracle wraps inner with the journaling middleware.
@@ -111,12 +110,11 @@ type JournalingOracle struct {
 // replayed rounds restore it.
 func NewJournalingOracle(inner Oracle, journal RoundJournal, replay []RoundRecord, gov *BudgetedOracle) *JournalingOracle {
 	return &JournalingOracle{
-		inner:      inner,
-		journal:    journal,
-		gov:        gov,
-		ctx:        context.Background(),
-		replay:     replay,
-		batchWidth: 1,
+		inner:   inner,
+		journal: journal,
+		gov:     gov,
+		ctx:     context.Background(),
+		replay:  replay,
 	}
 }
 
@@ -146,17 +144,6 @@ func (j *JournalingOracle) Rounds() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.round
-}
-
-// withBatchParallelism widens the pool used to lift a non-batching
-// inner oracle; AsBatchOracle propagates the caller's width here.
-func (j *JournalingOracle) withBatchParallelism(parallelism int) *JournalingOracle {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if parallelism > j.batchWidth {
-		j.batchWidth = parallelism
-	}
-	return j
 }
 
 // encodeRoundErr maps a round's outcome to its journaled kind;
@@ -251,7 +238,7 @@ func (j *JournalingOracle) SetQueryBatch(reqs []SetRequest) ([]bool, error) {
 		j.consumeReplay(rec)
 		return append([]bool(nil), rec.SetAnswers...), decodeRoundErr(rec.ErrKind)
 	}
-	answers, err := AsBatchOracle(j.inner, j.batchWidth).SetQueryBatch(reqs)
+	answers, err := AsBatchOracle(j.inner, j.width()).SetQueryBatch(reqs)
 	err = j.record(RoundRecord{
 		Sets:       cloneSetRequests(reqs),
 		SetAnswers: append([]bool{}, answers...),
@@ -276,7 +263,7 @@ func (j *JournalingOracle) PointQueryBatch(ids []dataset.ObjectID) ([][]int, err
 		j.consumeReplay(rec)
 		return clonePointAnswers(rec.PointAnswers), decodeRoundErr(rec.ErrKind)
 	}
-	labels, err := AsBatchOracle(j.inner, j.batchWidth).PointQueryBatch(ids)
+	labels, err := AsBatchOracle(j.inner, j.width()).PointQueryBatch(ids)
 	err = j.record(RoundRecord{
 		Points:       append([]dataset.ObjectID{}, ids...),
 		PointAnswers: clonePointAnswers(labels),

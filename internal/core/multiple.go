@@ -266,16 +266,6 @@ type MultipleOptions struct {
 	// its round; jitter is drawn from Rng on retries only, so a
 	// failure-free run is unaffected.
 	Retry RetryPolicy
-	// Budget caps the committed crowd queries of this audit: the engine
-	// wraps the oracle in a BudgetedOracle governor and, when the cap
-	// is hit, returns a deterministic partial result (Exhausted set,
-	// unsettled groups carrying best-effort bounds) instead of an
-	// error. An oracle that already is a *BudgetedOracle — the Auditor
-	// shares one governor across audits — is reused and this field is
-	// ignored. Exhaustion is byte-identical across Parallelism values
-	// on the lockstep engine; the sequential engine charges queries in
-	// the paper's order, so its exhaustion point may differ.
-	Budget Budget
 	// Ctx cancels the audit at round boundaries: a cancelled context
 	// fails the next oracle round before it reaches the crowd (checked
 	// in the lockstep commit path, between audits on the sequential
@@ -316,7 +306,6 @@ func MultipleCoverage(o Oracle, ids []dataset.ObjectID, n, tau int, groups []pat
 	if c < 0 || n < 1 || tau < 0 {
 		return nil, fmt.Errorf("core: invalid parameters (c=%d n=%d tau=%d)", c, n, tau)
 	}
-	o, _ = applyBudget(o, opts.Budget)
 	if opts.Lockstep || opts.Parallelism > 1 {
 		return multipleCoverageParallel(o, ids, n, tau, c, groups, opts)
 	}

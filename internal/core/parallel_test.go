@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"imagecvg/internal/dataset"
@@ -189,11 +190,54 @@ func TestRetryPreservesNativeBatching(t *testing.T) {
 	}
 
 	// Over a plain oracle the same wrapper retries per request.
-	flaky := &FlakyOracle{Inner: NewTruthOracle(d), FailEvery: 5}
+	flaky := &firstAttemptFlaky{inner: NewTruthOracle(d), tried: map[dataset.ObjectID]bool{}}
 	bo = AsBatchOracle(withRetry(context.Background(), flaky, RetryPolicy{MaxAttempts: 2}, rand.New(rand.NewSource(2))), 8)
-	if _, err := bo.PointQueryBatch(d.IDs()[:30]); err != nil {
+	ids := d.IDs()[:30]
+	if _, err := bo.PointQueryBatch(ids); err != nil {
 		t.Errorf("per-request retry over plain oracle: %v", err)
 	}
+	want := 0
+	for _, id := range ids {
+		if id%5 == 0 {
+			want++
+		}
+	}
+	if flaky.failed != want {
+		t.Errorf("%d injected failures, want one per id divisible by 5 (%d)", flaky.failed, want)
+	}
+}
+
+// firstAttemptFlaky is a plain (non-batching) oracle whose failures
+// are a function of the request, not of call order: the first attempt
+// of each point query on an id divisible by 5 fails transiently and
+// every later attempt succeeds, so two attempts always suffice however
+// a concurrent pool interleaves the calls.
+type firstAttemptFlaky struct {
+	inner Oracle
+
+	mu     sync.Mutex
+	tried  map[dataset.ObjectID]bool
+	failed int
+}
+
+func (f *firstAttemptFlaky) SetQuery(ids []dataset.ObjectID, g pattern.Group) (bool, error) {
+	return f.inner.SetQuery(ids, g)
+}
+func (f *firstAttemptFlaky) ReverseSetQuery(ids []dataset.ObjectID, g pattern.Group) (bool, error) {
+	return f.inner.ReverseSetQuery(ids, g)
+}
+func (f *firstAttemptFlaky) PointQuery(id dataset.ObjectID) ([]int, error) {
+	f.mu.Lock()
+	fail := id%5 == 0 && !f.tried[id]
+	f.tried[id] = true
+	if fail {
+		f.failed++
+	}
+	f.mu.Unlock()
+	if fail {
+		return nil, ErrTransient
+	}
+	return f.inner.PointQuery(id)
 }
 
 func TestRetryGivesUpAfterBudget(t *testing.T) {

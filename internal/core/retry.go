@@ -46,9 +46,10 @@ type retryOracle struct {
 	policy RetryPolicy
 	ctx    context.Context
 
-	mu         sync.Mutex // guards rng and batchWidth
-	rng        *rand.Rand
-	batchWidth int
+	poolWidth
+
+	mu  sync.Mutex // guards rng
+	rng *rand.Rand
 }
 
 // withRetry wraps o unless the policy is disabled. The context bounds
@@ -61,25 +62,7 @@ func withRetry(ctx context.Context, o Oracle, policy RetryPolicy, rng *rand.Rand
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &retryOracle{inner: o, policy: policy, ctx: ctx, rng: rng, batchWidth: 1}
-}
-
-// withBatchParallelism widens the per-request retry pool (it never
-// narrows); AsBatchOracle propagates the caller's width here.
-func (r *retryOracle) withBatchParallelism(parallelism int) *retryOracle {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if parallelism > r.batchWidth {
-		r.batchWidth = parallelism
-	}
-	return r
-}
-
-// width returns the current per-request retry pool width.
-func (r *retryOracle) width() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.batchWidth
+	return &retryOracle{inner: o, policy: policy, ctx: ctx, rng: rng}
 }
 
 // do runs fn up to MaxAttempts times, backing off with jitter between

@@ -259,14 +259,24 @@ func TestNormalizeBudget(t *testing.T) {
 		})
 	}
 
-	// An all-negative budget is inactive: applyBudget must not wrap.
-	o := deadOracle{}
-	wrapped, gov := applyBudget(o, Budget{MaxHITs: -5, MaxSpend: -1})
-	if gov != nil || wrapped != Oracle(o) {
-		t.Errorf("applyBudget with negative caps wrapped the oracle (gov=%v)", gov)
+	// An all-negative budget is inactive: the stack's governor counts
+	// spend but never refuses.
+	d, _ := dataset.BinaryWithMinority(40, 10, rand.New(rand.NewSource(4)))
+	st, err := NewStack(NewTruthOracle(d), StackConfig{Budget: &Budget{MaxHITs: -5, MaxSpend: -1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := st.Governor.Budget(); b.Active() {
+		t.Errorf("negative caps left an active budget: %+v", b)
+	}
+	if _, err := AsBatchOracle(st.Top, 1).PointQueryBatch(d.IDs()); err != nil {
+		t.Errorf("inactive budget refused a query: %v", err)
+	}
+	if s := st.Governor.Spent(); s.Point != len(d.IDs()) || s.Denied != 0 {
+		t.Errorf("inactive governor spent %+v, want %d points and no denials", s, len(d.IDs()))
 	}
 	// The constructor clamps too.
-	if b := NewBudgetedOracle(o, Budget{MaxHITs: -3}).Budget(); b.MaxHITs != 0 {
+	if b := NewBudgetedOracle(deadOracle{}, Budget{MaxHITs: -3}).Budget(); b.MaxHITs != 0 {
 		t.Errorf("NewBudgetedOracle kept negative MaxHITs: %+v", b)
 	}
 }

@@ -235,9 +235,8 @@ type workerTally struct {
 	probes, probeFails, answers, contradictions int
 }
 
-// TrustOracle is the adversarial-robustness middleware. Wrapped above
-// the journal (stack order cache -> trust -> journal -> governor ->
-// platform) it appends one gold probe to every ProbeEvery-th committed
+// TrustOracle is the adversarial-robustness middleware (NewStack places
+// it). It appends one gold probe to every ProbeEvery-th committed
 // set round, consumes the answer feed's delta after each round to
 // score every worker's raw answers — against the gold answer for probe
 // HITs, against the round's aggregated consensus otherwise — and
@@ -253,9 +252,9 @@ type TrustOracle struct {
 	probes []GoldProbe
 	feed   AnswerFeed
 	screen WorkerScreener
+	poolWidth
 
 	mu           sync.Mutex
-	batchWidth   int
 	setRounds    int
 	probeCursor  int
 	feedCursor   int
@@ -280,30 +279,18 @@ func NewTrustOracle(inner Oracle, cfg TrustConfig) (*TrustOracle, error) {
 		}
 	}
 	return &TrustOracle{
-		inner:      inner,
-		policy:     pol,
-		probes:     append([]GoldProbe(nil), cfg.Probes...),
-		feed:       cfg.Feed,
-		screen:     cfg.Screen,
-		batchWidth: 1,
-		stats:      map[int]*workerTally{},
-		excluded:   map[int]bool{},
+		inner:    inner,
+		policy:   pol,
+		probes:   append([]GoldProbe(nil), cfg.Probes...),
+		feed:     cfg.Feed,
+		screen:   cfg.Screen,
+		stats:    map[int]*workerTally{},
+		excluded: map[int]bool{},
 	}, nil
 }
 
 // Policy returns the normalized policy in effect.
 func (t *TrustOracle) Policy() TrustPolicy { return t.policy }
-
-// withBatchParallelism widens the pool used to lift a non-batching
-// inner oracle; AsBatchOracle propagates the caller's width here.
-func (t *TrustOracle) withBatchParallelism(parallelism int) *TrustOracle {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if parallelism > t.batchWidth {
-		t.batchWidth = parallelism
-	}
-	return t
-}
 
 // Report snapshots the middleware's state: every scored worker (sorted
 // by ID), probes issued, and the distrusted-worker count.
@@ -359,7 +346,7 @@ func (t *TrustOracle) SetQueryBatch(reqs []SetRequest) ([]bool, error) {
 		combined = append(combined, reqs...)
 		combined = append(combined, pr.Req)
 	}
-	answers, err := AsBatchOracle(t.inner, t.batchWidth).SetQueryBatch(combined)
+	answers, err := AsBatchOracle(t.inner, t.width()).SetQueryBatch(combined)
 	t.observe(reqs, answers, probe)
 	t.applyScreening()
 	if probe == nil {
@@ -384,7 +371,7 @@ func (t *TrustOracle) PointQueryBatch(ids []dataset.ObjectID) ([][]int, error) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return AsBatchOracle(t.inner, t.batchWidth).PointQueryBatch(ids)
+	return AsBatchOracle(t.inner, t.width()).PointQueryBatch(ids)
 }
 
 // SetQuery implements Oracle as a one-element round, so sequential

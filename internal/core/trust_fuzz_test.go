@@ -117,7 +117,7 @@ func FuzzTrustVerdict(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tr = tr.withBatchParallelism(width)
+			tr.widen(width)
 			ids := d.IDs()
 			for r := 0; r < rounds; r++ {
 				n := abs(next())%3 + 1

@@ -70,8 +70,9 @@ func journalBudget(inst conformanceInstance) core.Budget {
 }
 
 // runJournalCell executes one audit over an existing platform through a
-// journaling oracle stack (journal -> optional governor -> platform)
-// and serializes everything observable, exactly like runConformanceCell.
+// journaling stack built by core.NewStack (journal -> optional governor
+// -> platform) and serializes everything observable, exactly like
+// runConformanceCell.
 // The audit error is returned un-fataled so killed runs can assert
 // cancellation.
 func runJournalCell(t *testing.T, inst conformanceInstance, parallelism int,
@@ -80,26 +81,28 @@ func runJournalCell(t *testing.T, inst conformanceInstance, parallelism int,
 	budgeted bool) (string, *core.JournalingOracle, error) {
 	t.Helper()
 
-	var oracle core.Oracle = p
-	var gov *core.BudgetedOracle
+	sc := core.StackConfig{Journal: jnl, Replay: replay, Ctx: ctx}
 	if budgeted {
-		gov = core.NewBudgetedOracle(p, journalBudget(inst))
-		oracle = gov
+		b := journalBudget(inst)
+		sc.Budget = &b
 	}
-	jo := core.NewJournalingOracle(oracle, jnl, replay, gov).SetContext(ctx)
+	st, err := core.NewStack(p, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jo, gov := st.Journal, st.Governor
 
 	opts := core.MultipleOptions{
 		Rng:         rand.New(rand.NewSource(inst.auditSeed)),
 		Parallelism: parallelism,
-		Lockstep:    true,
+		Lockstep:    st.Lockstep(),
 		Ctx:         ctx,
 	}
 	var audit string
-	var err error
 	switch inst.kind {
 	case "intersectional":
 		var res *core.IntersectionalResult
-		res, err = core.IntersectionalCoverage(jo, d.IDs(), inst.setSize, inst.tau, inst.schema, opts)
+		res, err = core.IntersectionalCoverage(st.Top, d.IDs(), inst.setSize, inst.tau, inst.schema, opts)
 		if err == nil {
 			audit = fmt.Sprintf("%+v|%+v|%d|%d", res.Verdicts, res.MUPs, res.ResolutionTasks, res.Tasks)
 		}
@@ -107,11 +110,11 @@ func runJournalCell(t *testing.T, inst conformanceInstance, parallelism int,
 		g := pattern.GroupsForAttribute(inst.schema, 0)[1]
 		predicted := d.PredictedSet(g, inst.classifierTP, inst.classifierFP)
 		var res core.ClassifierResult
-		res, err = core.ClassifierCoverage(jo, d.IDs(), predicted, inst.setSize, inst.tau, g,
+		res, err = core.ClassifierCoverage(st.Top, d.IDs(), predicted, inst.setSize, inst.tau, g,
 			core.ClassifierOptions{
 				Rng:         rand.New(rand.NewSource(inst.auditSeed)),
 				Parallelism: parallelism,
-				Lockstep:    true,
+				Lockstep:    st.Lockstep(),
 				Ctx:         ctx,
 			})
 		if err == nil {
@@ -120,7 +123,7 @@ func runJournalCell(t *testing.T, inst conformanceInstance, parallelism int,
 	default:
 		groups := pattern.GroupsForAttribute(inst.schema, 0)
 		var res *core.MultipleResult
-		res, err = core.MultipleCoverage(jo, d.IDs(), inst.setSize, inst.tau, groups, opts)
+		res, err = core.MultipleCoverage(st.Top, d.IDs(), inst.setSize, inst.tau, groups, opts)
 		if err == nil {
 			audit = fmt.Sprintf("%+v|%+v|%d|%d|%d", res.Results, res.SuperAudits,
 				res.SampleTasks, res.AuditTasks, res.Tasks)
@@ -250,8 +253,8 @@ func TestKillResumeConformance(t *testing.T) {
 }
 
 // runTrustJournalCell executes one Multiple-Coverage audit over an
-// existing platform through the adversarial stack — trust -> journal
-// -> platform — and serializes the observable state INCLUDING the
+// existing platform through the adversarial stack core.NewStack builds
+// — trust -> journal -> platform — and serializes the observable state INCLUDING the
 // trust report. The trust middleware sits above the journal, so the
 // journal records (and replays) the probe-augmented rounds; a fresh
 // TrustOracle on resume re-issues the identical probes from its
@@ -262,25 +265,25 @@ func runTrustJournalCell(t *testing.T, ai adversarialInstance, parallelism int,
 	jnl core.RoundJournal, replay []core.RoundRecord, ctx context.Context) (string, *core.JournalingOracle, error) {
 	t.Helper()
 
-	jo := core.NewJournalingOracle(p, jnl, replay, nil).SetContext(ctx)
-	tr, err := core.NewTrustOracle(jo, core.TrustConfig{
-		Probes: trustProbesFor(d, ai),
-		Feed:   log,
-		Screen: p,
+	st, err := core.NewStack(p, core.StackConfig{
+		Journal: jnl,
+		Replay:  replay,
+		Trust:   &core.TrustConfig{Probes: trustProbesFor(d, ai), Feed: log, Screen: p},
+		Ctx:     ctx,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	groups := pattern.GroupsForAttribute(ai.schema, 0)
-	res, err := core.MultipleCoverage(tr, d.IDs(), ai.setSize, ai.tau, groups, core.MultipleOptions{
+	res, err := core.MultipleCoverage(st.Top, d.IDs(), ai.setSize, ai.tau, groups, core.MultipleOptions{
 		Rng:         rand.New(rand.NewSource(ai.auditSeed)),
 		Parallelism: parallelism,
-		Lockstep:    true,
+		Lockstep:    st.Lockstep(),
 		Ctx:         ctx,
 	})
 	if err != nil {
-		return "", jo, err
+		return "", st.Journal, err
 	}
 	audit := fmt.Sprintf("%+v|%+v|%d|%d|%d", res.Results, res.SuperAudits,
 		res.SampleTasks, res.AuditTasks, res.Tasks)
@@ -293,8 +296,8 @@ func runTrustJournalCell(t *testing.T, ai adversarialInstance, parallelism int,
 		ds = fmt.Sprintf("%v|%.9v|%d", dres.Truth, dres.WorkerAccuracy, dres.Iterations)
 	}
 	state := fmt.Sprintf("audit=%s\nspend=%s\neligible=%d\nhits=%d\ndawid-skene=%s\ntrust=%+v",
-		audit, p.Ledger().Snapshot().String(), p.EligibleWorkers(), log.HITs(), ds, tr.Report())
-	return state, jo, nil
+		audit, p.Ledger().Snapshot().String(), p.EligibleWorkers(), log.HITs(), ds, st.Trust.Report())
+	return state, st.Journal, nil
 }
 
 // TestKillResumeTrustConformance is the adversarial cell of the

@@ -77,20 +77,15 @@ func runAdversarialCell(t *testing.T, ai adversarialInstance, parallelism int) s
 	log := &ResponseLog{}
 	p := adversarialPlatformFor(t, ai, d, log)
 
-	var oracle core.Oracle = p
-	var tr *core.TrustOracle
+	var sc core.StackConfig
 	if ai.trust {
-		var err error
-		tr, err = core.NewTrustOracle(p, core.TrustConfig{
-			Probes: trustProbesFor(d, ai),
-			Feed:   log,
-			Screen: p,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		oracle = tr
+		sc.Trust = &core.TrustConfig{Probes: trustProbesFor(d, ai), Feed: log, Screen: p}
 	}
+	st, err := core.NewStack(p, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, tr := st.Top, st.Trust
 
 	opts := core.MultipleOptions{
 		Rng:         rand.New(rand.NewSource(ai.auditSeed)),

@@ -63,15 +63,6 @@ type Config struct {
 	// into its audit options, falling back to the experiment's own
 	// default when zero.
 	EngineParallelism int
-	// Budget, when active, caps the committed crowd queries of each
-	// trial's audit. Like EngineParallelism it is a pass-through: the
-	// engine echoes it on Trial.Budget and the trial body wires it into
-	// its audit options (core.MultipleOptions.Budget /
-	// core.ClassifierOptions.Budget), so a grid can sweep the budget
-	// axis the same way it sweeps engine widths. Budgeted cells that
-	// want width-1 runs byte-identical to wider ones must set
-	// core.MultipleOptions.Lockstep in their audit options.
-	Budget core.Budget
 	// Ctx cancels the cell: a trial whose context is already cancelled
 	// fails before it dispatches, and the engine echoes the context on
 	// Trial.Ctx so the trial body can thread it into its audit options
@@ -113,9 +104,6 @@ type Trial struct {
 	// EngineParallelism echoes Config.EngineParallelism; zero means
 	// the trial body applies its own default engine width.
 	EngineParallelism int
-	// Budget echoes Config.Budget; the zero value leaves the trial's
-	// audits ungoverned.
-	Budget core.Budget
 	// Ctx echoes Config.Ctx (never nil): thread it into the audit
 	// options so cancellation reaches the round boundaries.
 	Ctx context.Context
@@ -272,7 +260,6 @@ func RunMany[T any](cfgs []Config, fn func(cell int, t Trial) (T, error)) ([]*Re
 			Index:             index,
 			Seed:              cfg.Seed + int64(index),
 			EngineParallelism: cfg.EngineParallelism,
-			Budget:            cfg.Budget,
 			Ctx:               ctx,
 		}
 		t.Rng = rand.New(rand.NewSource(t.Seed))

@@ -18,8 +18,8 @@ type Factory func(t Trial) (core.Oracle, error)
 // trials that regenerate their data must build fresh oracles instead.
 // The cache is safe for concurrent trials when inner is.
 func SharedCache(inner core.Oracle) (Factory, *core.CachingOracle) {
-	cache := core.NewCachingOracle(inner)
-	return func(Trial) (core.Oracle, error) { return cache, nil }, cache
+	st, _ := core.NewStack(inner, core.StackConfig{Cache: true}) // only a trust layer can fail
+	return func(Trial) (core.Oracle, error) { return st.Top, nil }, st.Cache
 }
 
 // PerTrial adapts a per-trial oracle builder into a Factory, for

@@ -44,6 +44,8 @@ func cells() []conformanceCell {
 			n: 140, minority: 10, dsSeed: 5, tau: 8, setSize: 14, seed: 11},
 		{name: "crowd-classifier", mode: server.ModeClassifier, oracle: "crowd",
 			n: 160, minority: 14, dsSeed: 9, tau: 9, setSize: 16, seed: 13, tp: 10, fp: 5},
+		{name: "truth-classifier-budgeted", mode: server.ModeClassifier, oracle: "truth",
+			n: 300, minority: 40, dsSeed: 9, tau: 30, setSize: 16, seed: 13, tp: 30, fp: 25, maxHITs: 20},
 	}
 }
 

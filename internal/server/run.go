@@ -17,10 +17,10 @@ import (
 	"imagecvg/internal/pattern"
 )
 
-// runAudit executes (or resumes) one job's audit. The oracle stack
-// mirrors the root Auditor's: platform/truth → budget governor →
-// journaling middleware, always under the Lockstep scheduler — which
-// is what makes a job's verdicts, task tallies and spend
+// runAudit executes (or resumes) one job's audit. core.NewStack builds
+// its stack exactly as it builds the root Auditor's — a journal over
+// an optional budget governor, which puts the job on the lockstep
+// scheduler — so a job's verdicts, task tallies and spend are
 // byte-identical to the one-shot run of the same configuration, at
 // every parallelism level and across a kill/restart.
 func (e *Engine) runAudit(ctx context.Context, j *job) (res *JobResult, err error) {
@@ -84,21 +84,22 @@ func (e *Engine) runAudit(ctx context.Context, j *job) (res *JobResult, err erro
 		oracle = o
 	}
 
-	var gov *core.BudgetedOracle
+	sc := core.StackConfig{Journal: &notifyJournal{eng: e, job: j, inner: jnl}, Replay: replay, Ctx: ctx}
 	if b := j.caps.budget(costFn); b.Active() {
-		gov = core.NewBudgetedOracle(oracle, b)
-		oracle = gov
+		sc.Budget = &b
 	}
-	notify := &notifyJournal{eng: e, job: j, inner: jnl}
-	jo := core.NewJournalingOracle(oracle, notify, replay, gov).SetContext(ctx)
+	st, err := core.NewStack(oracle, sc)
+	if err != nil {
+		return nil, err
+	}
 	j.mu.Lock()
 	j.rounds, j.replayed = len(replay), 0
 	j.mu.Unlock()
 	defer func() {
 		j.mu.Lock()
-		j.rounds, j.replayed = jo.Rounds(), jo.Replayed()
-		if gov != nil {
-			j.spent = gov.Spent()
+		j.rounds, j.replayed = st.Journal.Rounds(), st.Journal.Replayed()
+		if st.Governor != nil {
+			j.spent = st.Governor.Spent()
 		}
 		j.mu.Unlock()
 	}()
@@ -106,18 +107,18 @@ func (e *Engine) runAudit(ctx context.Context, j *job) (res *JobResult, err erro
 	opts := core.MultipleOptions{
 		Rng:         rand.New(rand.NewSource(cfg.Seed)),
 		Parallelism: cfg.Parallelism,
-		Lockstep:    true,
+		Lockstep:    st.Lockstep(),
 		Ctx:         ctx,
 	}
 	spent := func() core.BudgetSpent {
-		if gov == nil {
+		if st.Governor == nil {
 			return core.BudgetSpent{}
 		}
-		return gov.Spent()
+		return st.Governor.Spent()
 	}
 	switch cfg.Mode {
 	case ModeIntersectional:
-		ir, aerr := core.IntersectionalCoverage(jo, ds.IDs(), cfg.SetSize, cfg.Tau, schema, opts)
+		ir, aerr := core.IntersectionalCoverage(st.Top, ds.IDs(), cfg.SetSize, cfg.Tau, schema, opts)
 		if aerr != nil {
 			return nil, aerr
 		}
@@ -129,11 +130,11 @@ func (e *Engine) runAudit(ctx context.Context, j *job) (res *JobResult, err erro
 		}
 		g := groups[cfg.Value]
 		predicted := ds.PredictedSet(g, cfg.ClassifierTP, cfg.ClassifierFP)
-		cr, aerr := core.ClassifierCoverage(jo, ds.IDs(), predicted, cfg.SetSize, cfg.Tau, g,
+		cr, aerr := core.ClassifierCoverage(st.Top, ds.IDs(), predicted, cfg.SetSize, cfg.Tau, g,
 			core.ClassifierOptions{
 				Rng:         rand.New(rand.NewSource(cfg.Seed)),
 				Parallelism: cfg.Parallelism,
-				Lockstep:    true,
+				Lockstep:    st.Lockstep(),
 				Ctx:         ctx,
 			})
 		if aerr != nil {
@@ -141,7 +142,7 @@ func (e *Engine) runAudit(ctx context.Context, j *job) (res *JobResult, err erro
 		}
 		return ResultFromClassifier(cr, spent()), nil
 	default: // ModeMultiple
-		mr, aerr := core.MultipleCoverage(jo, ds.IDs(), cfg.SetSize, cfg.Tau,
+		mr, aerr := core.MultipleCoverage(st.Top, ds.IDs(), cfg.SetSize, cfg.Tau,
 			pattern.GroupsForAttribute(schema, cfg.Attr), opts)
 		if aerr != nil {
 			return nil, aerr

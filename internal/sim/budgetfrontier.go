@@ -176,9 +176,7 @@ func RunBudgetFrontier(p BudgetFrontierParams, o Options) (*BudgetFrontierResult
 					maxHITs = 1
 				}
 				cells = append(cells, cell{wi: wi, fraction: frac, maxHITs: maxHITs})
-				cfg := o.cell(fmt.Sprintf("budget-frontier/N=%d/tau=%d/frac=%.2f", n, tau, frac), seedOffset)
-				cfg.Budget = core.Budget{MaxHITs: maxHITs}
-				cfgs = append(cfgs, cfg)
+				cfgs = append(cfgs, o.cell(fmt.Sprintf("budget-frontier/N=%d/tau=%d/frac=%.2f", n, tau, frac), seedOffset))
 			}
 		}
 	}
@@ -190,12 +188,15 @@ func RunBudgetFrontier(p BudgetFrontierParams, o Options) (*BudgetFrontierResult
 		// truth oracle is shared and concurrency-safe). Lockstep is
 		// unconditional: budgeted exhaustion is width-invariant only on
 		// the lockstep engine.
-		mres, err := core.MultipleCoverage(w.oracle, w.ids, p.SetSize, w.tau, groups,
+		st, err := core.NewStack(w.oracle, core.StackConfig{Budget: &core.Budget{MaxHITs: c.maxHITs}})
+		if err != nil {
+			return bfObservation{}, err
+		}
+		mres, err := core.MultipleCoverage(st.Top, w.ids, p.SetSize, w.tau, groups,
 			core.MultipleOptions{
 				Rng:         t.Rng,
 				Parallelism: engineWidth(t, 1),
 				Lockstep:    true,
-				Budget:      t.Budget,
 			})
 		if err != nil {
 			return bfObservation{}, err

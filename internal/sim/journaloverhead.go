@@ -136,25 +136,27 @@ func RunJournalOverhead(p JournalOverheadParams, o Options) (*JournalOverheadRes
 		if err != nil {
 			return journalTrialValue{}, err
 		}
-		var oracle core.Oracle = core.DelayOracle{Inner: core.NewTruthOracle(d), Delay: p.Delay}
-		var jo *core.JournalingOracle
+		sc := core.StackConfig{Ctx: t.Ctx}
 		if cells[cell].journal {
 			jnl, err := journal.Create(filepath.Join(dir, fmt.Sprintf("cell%d-trial%d.jnl", cell, t.Index)))
 			if err != nil {
 				return journalTrialValue{}, err
 			}
 			defer jnl.Close()
-			jo = core.NewJournalingOracle(oracle, jnl, nil, nil).SetContext(t.Ctx)
-			oracle = jo
+			sc.Journal = jnl
 		}
-		mres, err := core.MultipleCoverage(oracle, d.IDs(), p.SetSize, p.Tau, groups,
+		st, err := core.NewStack(core.DelayOracle{Inner: core.NewTruthOracle(d), Delay: p.Delay}, sc)
+		if err != nil {
+			return journalTrialValue{}, err
+		}
+		mres, err := core.MultipleCoverage(st.Top, d.IDs(), p.SetSize, p.Tau, groups,
 			core.MultipleOptions{Rng: t.Rng, Parallelism: p.Parallelism, Lockstep: true, Ctx: t.Ctx})
 		if err != nil {
 			return journalTrialValue{}, err
 		}
 		v := journalTrialValue{tasks: float64(mres.Tasks)}
-		if jo != nil {
-			v.rounds = float64(jo.Rounds())
+		if st.Journal != nil {
+			v.rounds = float64(st.Journal.Rounds())
 		}
 		return v, nil
 	})

@@ -185,24 +185,19 @@ func RunRobustnessFrontier(p RobustnessFrontierParams, o Options) (*RobustnessFr
 			return rfObservation{}, err
 		}
 
-		var oracle core.Oracle = platform
-		var tr *core.TrustOracle
+		var sc core.StackConfig
 		if c.trust {
-			tr, err = core.NewTrustOracle(platform, core.TrustConfig{
-				Probes: probes,
-				Feed:   log,
-				Screen: platform,
-			})
-			if err != nil {
-				return rfObservation{}, err
-			}
-			oracle = tr
+			sc.Trust = &core.TrustConfig{Probes: probes, Feed: log, Screen: platform}
+		}
+		st, err := core.NewStack(platform, sc)
+		if err != nil {
+			return rfObservation{}, err
 		}
 
 		// Lockstep is unconditional: the crowd platform's answers are
 		// order-dependent, and the trust middleware's probe schedule
 		// rides the committed round sequence.
-		mres, err := core.MultipleCoverage(oracle, d.IDs(), p.SetSize, p.Tau, groups,
+		mres, err := core.MultipleCoverage(st.Top, d.IDs(), p.SetSize, p.Tau, groups,
 			core.MultipleOptions{
 				Rng:         t.Rng,
 				Parallelism: engineWidth(t, 1),
@@ -223,8 +218,8 @@ func RunRobustnessFrontier(p RobustnessFrontierParams, o Options) (*RobustnessFr
 		}
 		obs.settled /= float64(len(groups))
 		obs.accuracy /= float64(len(groups))
-		if tr != nil {
-			rep := tr.Report()
+		if st.Trust != nil {
+			rep := st.Trust.Report()
 			obs.excluded = float64(rep.Excluded)
 			obs.probes = float64(rep.ProbesIssued)
 		}

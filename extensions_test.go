@@ -1,6 +1,7 @@
 package imagecvg
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -132,5 +133,42 @@ func TestNewRepairPlanFacade(t *testing.T) {
 	}
 	if plan.Total != 40 {
 		t.Errorf("plan total = %d, want 40", plan.Total)
+	}
+}
+
+// TestTranscriptReplayConcurrentEngine records intersectional audits on
+// the concurrent engine and replays each transcript with the same
+// settings: lockstep rounds must record and replay in request order, so
+// every replay reproduces the original's MUPs and task count.
+func TestTranscriptReplayConcurrentEngine(t *testing.T) {
+	schema, err := NewSchema(
+		Attribute{Name: "a", Values: []string{"a0", "a1", "a2"}},
+		Attribute{Name: "b", Values: []string{"b0", "b1", "b2"}},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := DatasetFromCounts(schema, []int{400, 30, 300, 20, 500, 45, 10, 350, 60}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(0); seed < 20; seed++ {
+		rec := NewRecordingOracle(NewTruthOracle(ds))
+		orig, err := NewAuditor(rec, 50, 25).WithSeed(seed).WithParallelism(4).AuditIntersectional(ds.IDs(), schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replay := NewReplayOracle(rec.Records())
+		again, err := NewAuditor(replay, 50, 25).WithSeed(seed).WithParallelism(4).AuditIntersectional(ds.IDs(), schema)
+		if err != nil {
+			t.Fatalf("seed %d: replay failed: %v", seed, err)
+		}
+		if !reflect.DeepEqual(again.MUPs, orig.MUPs) || again.Tasks != orig.Tasks {
+			t.Errorf("seed %d: replay diverged: MUPs %v tasks %d, recorded MUPs %v tasks %d",
+				seed, again.MUPs, again.Tasks, orig.MUPs, orig.Tasks)
+		}
+		if n := replay.Remaining(); n != 0 {
+			t.Errorf("seed %d: replay left %d recorded answers unused", seed, n)
+		}
 	}
 }

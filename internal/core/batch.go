@@ -32,11 +32,12 @@ type SetRequest struct {
 // Partial-prefix commits: a failing batch may return a non-nil answer
 // slice shorter than the request slice alongside its error, meaning
 // requests [0, len(answers)) committed with those answers and the rest
-// failed. Most implementations return nil answers on error (nothing
+// failed. Many implementations return nil answers on error (nothing
 // committed); the BudgetedOracle governor uses the prefix form to hand
-// back the answers the remaining budget could still afford, and the
-// lockstep commit path delivers such a prefix to its tasks instead of
-// discarding paid answers.
+// back the answers the remaining budget could still afford, the
+// adapter over a plain oracle returns the requests answered before the
+// lowest failing one, and the lockstep commit path delivers such a
+// prefix to its tasks instead of discarding paid answers.
 //
 // Oracles whose answers depend only on the request (TruthOracle, any
 // stateless crowd bridge) may execute a batch in any order or fully in
@@ -53,9 +54,11 @@ type BatchOracle interface {
 
 // batchAdapter lifts a plain Oracle into batched execution with a
 // bounded worker pool. The inner oracle must be safe for concurrent
-// use when parallelism > 1.
+// use when the pool is wider than 1.
 type batchAdapter struct {
-	inner       Oracle
+	inner Oracle
+
+	mu          sync.Mutex
 	parallelism int
 }
 
@@ -70,13 +73,18 @@ func NewBatchAdapter(o Oracle, parallelism int) BatchOracle {
 
 // AsBatchOracle returns o itself when it already implements
 // BatchOracle natively, and otherwise lifts it with NewBatchAdapter.
-// The middlewares (cache, trust, journal, governor, retry) additionally
-// inherit the caller's parallelism for the rounds they forward
-// themselves.
+// The middlewares (cache, trust, journal, governor, recorder) lift
+// their inner oracle once, before their first round; the only pool in
+// a stack is the adapter at its bottom, over a base oracle that does
+// not batch. Given such a stack, AsBatchOracle walks down to that
+// adapter and widens it to parallelism (never narrowing), so the
+// caller's width reaches the base through every layer.
 func AsBatchOracle(o Oracle, parallelism int) BatchOracle {
-	if m, ok := o.(pooledMiddleware); ok {
-		m.widen(parallelism)
-		return m
+	for l := below(o); l != nil; l = below(l) {
+		if a, ok := l.(*batchAdapter); ok {
+			a.widen(parallelism)
+			break
+		}
 	}
 	if bo, ok := o.(BatchOracle); ok {
 		return bo
@@ -84,33 +92,59 @@ func AsBatchOracle(o Oracle, parallelism int) BatchOracle {
 	return NewBatchAdapter(o, parallelism)
 }
 
-// pooledMiddleware is a middleware that lifts a non-batching inner
-// oracle into its rounds with its own worker pool.
-type pooledMiddleware interface {
-	BatchOracle
-	widen(parallelism int)
+// below returns the oracle a middleware layer forwards to, or nil when
+// o is not a layer.
+func below(o Oracle) Oracle {
+	switch l := o.(type) {
+	case *CachingOracle:
+		return l.inner
+	case *TrustOracle:
+		return l.inner
+	case *JournalingOracle:
+		return l.inner
+	case *BudgetedOracle:
+		return l.inner
+	case *RecordingOracle:
+		return l.inner()
+	case *retryOracle:
+		return l.inner
+	}
+	return nil
 }
 
-// poolWidth is a middleware's forwarding-pool width, embedded by every
-// pooledMiddleware. AsBatchOracle widens it to the caller's width; it
-// never narrows, and the zero value is width 1.
-type poolWidth struct {
-	mu sync.Mutex
-	n  int
+// widen raises the pool width to parallelism.
+func (a *batchAdapter) widen(parallelism int) {
+	a.mu.Lock()
+	a.parallelism = max(a.parallelism, parallelism)
+	a.mu.Unlock()
 }
 
-// widen raises the width to parallelism.
-func (w *poolWidth) widen(parallelism int) {
-	w.mu.Lock()
-	w.n = max(w.n, parallelism)
-	w.mu.Unlock()
+// width returns the current pool width.
+func (a *batchAdapter) width() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.parallelism
 }
 
-// width returns the current width (at least 1).
-func (w *poolWidth) width() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return max(w.n, 1)
+// setOne answers one set or reverse-set query as a one-element round
+// of bo: every middleware answers single queries this way, so each
+// layer's policy has exactly one implementation, its round path.
+func setOne(bo BatchOracle, ids []dataset.ObjectID, g pattern.Group, reverse bool) (bool, error) {
+	answers, err := bo.SetQueryBatch([]SetRequest{{IDs: ids, Group: g, Reverse: reverse}})
+	if err != nil {
+		return false, err
+	}
+	return answers[0], nil
+}
+
+// pointOne answers one point query as a one-element round of bo; see
+// setOne.
+func pointOne(bo BatchOracle, id dataset.ObjectID) ([]int, error) {
+	labels, err := bo.PointQueryBatch([]dataset.ObjectID{id})
+	if err != nil {
+		return nil, err
+	}
+	return labels[0], nil
 }
 
 // SetQuery implements Oracle by delegation.
@@ -130,18 +164,27 @@ func (a *batchAdapter) PointQuery(id dataset.ObjectID) ([]int, error) {
 
 // firstError returns the lowest-indexed non-nil error.
 func firstError(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := failedAt(errs)
+	return err
 }
 
-// SetQueryBatch implements BatchOracle.
+// failedAt returns the lowest failing index and its error, or
+// len(errs) and nil when nothing failed.
+func failedAt(errs []error) (int, error) {
+	for i, err := range errs {
+		if err != nil {
+			return i, err
+		}
+	}
+	return len(errs), nil
+}
+
+// SetQueryBatch implements BatchOracle. A failing round returns the
+// answered prefix before its lowest failing request with that
+// request's error.
 func (a *batchAdapter) SetQueryBatch(reqs []SetRequest) ([]bool, error) {
 	answers := make([]bool, len(reqs))
-	err := RunBounded(a.parallelism, len(reqs), func(i int) error {
+	k, err := failedAt(runBounded(a.width(), len(reqs), func(i int) error {
 		var e error
 		if reqs[i].Reverse {
 			answers[i], e = a.inner.ReverseSetQuery(reqs[i].IDs, reqs[i].Group)
@@ -149,23 +192,17 @@ func (a *batchAdapter) SetQueryBatch(reqs []SetRequest) ([]bool, error) {
 			answers[i], e = a.inner.SetQuery(reqs[i].IDs, reqs[i].Group)
 		}
 		return e
-	})
-	if err != nil {
-		return nil, err
-	}
-	return answers, nil
+	}))
+	return answers[:k], err
 }
 
-// PointQueryBatch implements BatchOracle.
+// PointQueryBatch implements BatchOracle; see SetQueryBatch.
 func (a *batchAdapter) PointQueryBatch(ids []dataset.ObjectID) ([][]int, error) {
 	labels := make([][]int, len(ids))
-	err := RunBounded(a.parallelism, len(ids), func(i int) error {
+	k, err := failedAt(runBounded(a.width(), len(ids), func(i int) error {
 		var e error
 		labels[i], e = a.inner.PointQuery(ids[i])
 		return e
-	})
-	if err != nil {
-		return nil, err
-	}
-	return labels, nil
+	}))
+	return labels[:k], err
 }

@@ -112,10 +112,8 @@ func (s BudgetSpent) HITs() int { return s.Point + s.Set + s.ReverseSet }
 // NewStack places it directly over the platform so it charges real
 // HITs. Safe for concurrent use when the inner oracle is.
 type BudgetedOracle struct {
-	inner  Oracle
+	inner  BatchOracle
 	budget Budget
-
-	poolWidth
 
 	mu    sync.Mutex
 	spent BudgetSpent
@@ -150,7 +148,7 @@ func normalizeBudget(b Budget) Budget {
 // (inactive) budget still counts spend but never refuses a query;
 // negative caps normalize to zero (disabled).
 func NewBudgetedOracle(inner Oracle, b Budget) *BudgetedOracle {
-	return &BudgetedOracle{inner: inner, budget: normalizeBudget(b)}
+	return &BudgetedOracle{inner: AsBatchOracle(inner, 1), budget: normalizeBudget(b)}
 }
 
 // Budget returns the governor's configured caps.
@@ -243,37 +241,19 @@ func minInt(a, b int) int {
 	return b
 }
 
-// SetQuery implements Oracle.
+// SetQuery implements Oracle as a one-element round.
 func (g *BudgetedOracle) SetQuery(ids []dataset.ObjectID, gr pattern.Group) (bool, error) {
-	g.mu.Lock()
-	ok := g.admit(HITSet, len(ids))
-	g.mu.Unlock()
-	if !ok {
-		return false, ErrBudgetExhausted
-	}
-	return g.inner.SetQuery(ids, gr)
+	return setOne(g, ids, gr, false)
 }
 
-// ReverseSetQuery implements Oracle.
+// ReverseSetQuery implements Oracle as a one-element round.
 func (g *BudgetedOracle) ReverseSetQuery(ids []dataset.ObjectID, gr pattern.Group) (bool, error) {
-	g.mu.Lock()
-	ok := g.admit(HITReverseSet, len(ids))
-	g.mu.Unlock()
-	if !ok {
-		return false, ErrBudgetExhausted
-	}
-	return g.inner.ReverseSetQuery(ids, gr)
+	return setOne(g, ids, gr, true)
 }
 
-// PointQuery implements Oracle.
+// PointQuery implements Oracle as a one-element round.
 func (g *BudgetedOracle) PointQuery(id dataset.ObjectID) ([]int, error) {
-	g.mu.Lock()
-	ok := g.admit(HITPoint, 1)
-	g.mu.Unlock()
-	if !ok {
-		return nil, ErrBudgetExhausted
-	}
-	return g.inner.PointQuery(id)
+	return pointOne(g, id)
 }
 
 // admitSetPrefix charges a batch's requests in request order and
@@ -305,7 +285,7 @@ func (g *BudgetedOracle) SetQueryBatch(reqs []SetRequest) ([]bool, error) {
 	var answers []bool
 	if k > 0 {
 		var err error
-		answers, err = AsBatchOracle(g.inner, g.width()).SetQueryBatch(reqs[:k])
+		answers, err = g.inner.SetQueryBatch(reqs[:k])
 		if err != nil {
 			// The inner oracle may itself have committed a prefix (a
 			// cache stacked below the governor): propagate those paid
@@ -334,7 +314,7 @@ func (g *BudgetedOracle) PointQueryBatch(ids []dataset.ObjectID) ([][]int, error
 	var labels [][]int
 	if k > 0 {
 		var err error
-		labels, err = AsBatchOracle(g.inner, g.width()).PointQueryBatch(ids[:k])
+		labels, err = g.inner.PointQueryBatch(ids[:k])
 		if err != nil {
 			// Propagate the inner oracle's committed prefix; see
 			// SetQueryBatch.

@@ -37,20 +37,21 @@ func (s CacheStats) HitRate() float64 {
 //
 // Concurrent identical queries are collapsed in flight: the first
 // caller posts the HIT while the others wait for its answer, so a
-// parallel audit round never double-pays for duplicates either. Safe
-// for concurrent use when the inner oracle is.
+// parallel audit round never double-pays for duplicates either. Single
+// queries are one-element rounds. Safe for concurrent use when the
+// inner oracle is.
 //
 // Caching deliberately changes task counts — that is the point — so
 // equivalence experiments comparing engine variants must run uncached.
 type CachingOracle struct {
-	inner Oracle
-	poolWidth
+	inner BatchOracle
 
 	mu       sync.Mutex
 	answers  map[string]bool
 	labels   map[dataset.ObjectID][]int
 	inflight map[string]*inflightCall
 	stats    CacheStats
+	round    uint64 // rounds started, numbering each round's inflight calls
 
 	// Key-building scratch, guarded by mu. Lookups go through
 	// map[string(bytes)] expressions, which Go compiles without
@@ -65,32 +66,22 @@ type CachingOracle struct {
 	memberScratch []string
 }
 
-// inflightCall is a pending inner query other callers wait on.
+// inflightCall is a pending inner query other callers wait on; its
+// answer, if any, is in the cache once done closes.
 type inflightCall struct {
-	done   chan struct{}
-	answer bool
-	labels []int
-	err    error
+	done  chan struct{}
+	err   error
+	round uint64 // the round posting it
 }
 
 // NewCachingOracle wraps an oracle with the deduplicating cache.
 func NewCachingOracle(inner Oracle) *CachingOracle {
 	return &CachingOracle{
-		inner:    inner,
+		inner:    AsBatchOracle(inner, 1),
 		answers:  make(map[string]bool),
 		labels:   make(map[dataset.ObjectID][]int),
 		inflight: make(map[string]*inflightCall),
 	}
-}
-
-// WithBatchParallelism widens the worker pool used to forward a
-// round's distinct misses when the inner oracle has no native
-// batching (it never narrows). AsBatchOracle propagates the caller's
-// width here automatically, so a cached oracle inside a batched audit
-// keeps the audit's parallelism instead of serializing every round.
-func (c *CachingOracle) WithBatchParallelism(parallelism int) *CachingOracle {
-	c.widen(parallelism)
-	return c
 }
 
 // Stats returns the hit/miss tally so far.
@@ -208,50 +199,24 @@ func (c *CachingOracle) settleSet(key string, ans bool, err error) {
 	}
 	c.mu.Unlock()
 	if call != nil {
-		call.answer, call.err = ans, err
+		call.err = err
 		close(call.done)
 	}
 }
 
-func (c *CachingOracle) setQuery(ids []dataset.ObjectID, g pattern.Group, reverse bool) (bool, error) {
-	c.mu.Lock()
-	sorted, members := c.canonSet(ids, g)
-	c.keyBuf = appendSetKey(c.keyBuf[:0], sorted, members, reverse)
-	if ans, ok := c.answers[string(c.keyBuf)]; ok {
-		c.countSet(&c.stats.Hits, reverse)
-		c.mu.Unlock()
-		return ans, nil
-	}
-	if call, ok := c.inflight[string(c.keyBuf)]; ok {
-		c.countSet(&c.stats.Hits, reverse)
-		c.mu.Unlock()
-		<-call.done
-		return call.answer, call.err
-	}
-	c.countSet(&c.stats.Misses, reverse)
-	key := string(c.keyBuf) // materialized only when the HIT is posted
-	c.inflight[key] = &inflightCall{done: make(chan struct{})}
-	c.mu.Unlock()
-
-	var ans bool
-	var err error
-	if reverse {
-		ans, err = c.inner.ReverseSetQuery(ids, g)
-	} else {
-		ans, err = c.inner.SetQuery(ids, g)
-	}
-	c.settleSet(key, ans, err)
-	return ans, err
-}
-
-// SetQuery implements Oracle.
+// SetQuery implements Oracle as a one-element round.
 func (c *CachingOracle) SetQuery(ids []dataset.ObjectID, g pattern.Group) (bool, error) {
-	return c.setQuery(ids, g, false)
+	return setOne(c, ids, g, false)
 }
 
-// ReverseSetQuery implements Oracle.
+// ReverseSetQuery implements Oracle as a one-element round.
 func (c *CachingOracle) ReverseSetQuery(ids []dataset.ObjectID, g pattern.Group) (bool, error) {
-	return c.setQuery(ids, g, true)
+	return setOne(c, ids, g, true)
+}
+
+// PointQuery implements Oracle as a one-element round.
+func (c *CachingOracle) PointQuery(id dataset.ObjectID) ([]int, error) {
+	return pointOne(c, id)
 }
 
 // pointKey is the in-flight key of one point query.
@@ -276,33 +241,9 @@ func (c *CachingOracle) settlePoint(id dataset.ObjectID, labels []int, err error
 	}
 	c.mu.Unlock()
 	if call != nil {
-		call.labels, call.err = labels, err
+		call.err = err
 		close(call.done)
 	}
-}
-
-// PointQuery implements Oracle.
-func (c *CachingOracle) PointQuery(id dataset.ObjectID) ([]int, error) {
-	c.mu.Lock()
-	if labels, ok := c.labels[id]; ok {
-		c.stats.Hits.Point++
-		c.mu.Unlock()
-		return cloneLabels(labels), nil
-	}
-	c.keyBuf = appendPointKey(c.keyBuf[:0], id)
-	if call, ok := c.inflight[string(c.keyBuf)]; ok {
-		c.stats.Hits.Point++
-		c.mu.Unlock()
-		<-call.done
-		return cloneLabels(call.labels), call.err
-	}
-	c.stats.Misses.Point++
-	c.inflight[string(c.keyBuf)] = &inflightCall{done: make(chan struct{})}
-	c.mu.Unlock()
-
-	labels, err := c.inner.PointQuery(id)
-	c.settlePoint(id, labels, err)
-	return labels, err
 }
 
 // cloneLabels copies a label vector; nil stays nil.
@@ -319,17 +260,16 @@ func cloneLabels(labels []int) []int {
 // collapse onto one inner request, cached keys are answered for free,
 // keys another caller is already posting are waited on instead of
 // re-posted, and only the distinct misses this round owns reach the
-// inner oracle — natively batched when it implements BatchOracle
-// itself, otherwise across the propagated worker-pool width.
+// inner oracle, as one round.
 func (c *CachingOracle) SetQueryBatch(reqs []SetRequest) ([]bool, error) {
 	answers := make([]bool, len(reqs))
 	var missReqs []SetRequest
 	var missKeys []string
-	var owned map[string]bool
-	var waits map[string]*inflightCall
 	var waitCalls []*inflightCall
 
 	c.mu.Lock()
+	c.round++
+	round := c.round
 	// Steal the key scratch for this round: the keys (arena bytes plus
 	// [start,end) offset pairs) must survive the unlock below for final
 	// assembly, and a concurrent caller appending to the shared buffer
@@ -347,27 +287,18 @@ func (c *CachingOracle) SetQueryBatch(reqs []SetRequest) ([]bool, error) {
 			answers[i] = ans
 			continue
 		}
-		if owned[string(key)] || waits[string(key)] != nil {
-			c.countSet(&c.stats.Hits, req.Reverse)
-			continue
-		}
 		if call, ok := c.inflight[string(key)]; ok {
-			// Another caller is posting this HIT right now.
+			// A duplicate inside this round, or a HIT another caller
+			// is posting right now: waited on, never posted again.
 			c.countSet(&c.stats.Hits, req.Reverse)
-			if waits == nil {
-				waits = make(map[string]*inflightCall)
+			if call.round != round {
+				waitCalls = append(waitCalls, call)
 			}
-			waits[string(key)] = call
-			waitCalls = append(waitCalls, call)
 			continue
 		}
 		c.countSet(&c.stats.Misses, req.Reverse)
 		k := string(key)
-		c.inflight[k] = &inflightCall{done: make(chan struct{})}
-		if owned == nil {
-			owned = make(map[string]bool)
-		}
-		owned[k] = true
+		c.inflight[k] = &inflightCall{done: make(chan struct{}), round: round}
 		missReqs = append(missReqs, req)
 		missKeys = append(missKeys, k)
 	}
@@ -376,7 +307,7 @@ func (c *CachingOracle) SetQueryBatch(reqs []SetRequest) ([]bool, error) {
 	var missAnswers []bool
 	var missErr error
 	if len(missReqs) > 0 {
-		missAnswers, missErr = AsBatchOracle(c.inner, c.width()).SetQueryBatch(missReqs)
+		missAnswers, missErr = c.inner.SetQueryBatch(missReqs)
 	}
 	// A failing inner batch may still have committed a prefix (a budget
 	// governor admits what the remaining budget affords — those HITs
@@ -428,36 +359,27 @@ func (c *CachingOracle) SetQueryBatch(reqs []SetRequest) ([]bool, error) {
 func (c *CachingOracle) PointQueryBatch(ids []dataset.ObjectID) ([][]int, error) {
 	labels := make([][]int, len(ids))
 	var missIDs []dataset.ObjectID
-	var owned map[dataset.ObjectID]bool
-	var waits map[dataset.ObjectID]*inflightCall
 	var waitCalls []*inflightCall
 
 	c.mu.Lock()
+	c.round++
+	round := c.round
 	for _, id := range ids {
 		if _, ok := c.labels[id]; ok {
 			c.stats.Hits.Point++
 			continue
 		}
-		if owned[id] || waits[id] != nil {
-			c.stats.Hits.Point++
-			continue
-		}
 		c.keyBuf = appendPointKey(c.keyBuf[:0], id)
 		if call, ok := c.inflight[string(c.keyBuf)]; ok {
+			// Posted by this round or another; see SetQueryBatch.
 			c.stats.Hits.Point++
-			if waits == nil {
-				waits = make(map[dataset.ObjectID]*inflightCall)
+			if call.round != round {
+				waitCalls = append(waitCalls, call)
 			}
-			waits[id] = call
-			waitCalls = append(waitCalls, call)
 			continue
 		}
 		c.stats.Misses.Point++
-		c.inflight[string(c.keyBuf)] = &inflightCall{done: make(chan struct{})}
-		if owned == nil {
-			owned = make(map[dataset.ObjectID]bool)
-		}
-		owned[id] = true
+		c.inflight[string(c.keyBuf)] = &inflightCall{done: make(chan struct{}), round: round}
 		missIDs = append(missIDs, id)
 	}
 	c.mu.Unlock()
@@ -465,7 +387,7 @@ func (c *CachingOracle) PointQueryBatch(ids []dataset.ObjectID) ([][]int, error)
 	var missLabels [][]int
 	var missErr error
 	if len(missIDs) > 0 {
-		missLabels, missErr = AsBatchOracle(c.inner, c.width()).PointQueryBatch(missIDs)
+		missLabels, missErr = c.inner.PointQueryBatch(missIDs)
 	}
 	// Cache any committed prefix of a failing batch and release the
 	// refused ids with the error; see SetQueryBatch.

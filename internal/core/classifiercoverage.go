@@ -171,7 +171,7 @@ func ClassifierCoverage(o Oracle, ids, predicted []dataset.ObjectID, n, tau int,
 		return res, err
 	}
 	gov := governorOf(o)
-	o = withRetry(ctx, o, opts.Retry, opts.Rng)
+	o = withRetry(ctx, o, opts.Retry, opts.Rng, opts.Parallelism)
 
 	// Without predictions there is nothing to exploit.
 	if len(predicted) == 0 {

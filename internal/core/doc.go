@@ -27,7 +27,9 @@
 //     TruthOracle and the crowd platform implement it natively.
 //   - CachingOracle (cache.go) deduplicates identical queries on a
 //     canonicalized key (sorted id-set plus group members) with
-//     in-flight collapsing; errors are never cached.
+//     in-flight collapsing; errors are never cached. Like every
+//     middleware it lifts its inner oracle once and forwards only
+//     rounds; single queries are one-element rounds.
 //   - MultipleOptions.Parallelism (parallel.go) runs Multiple-Coverage
 //     with super-group audits and covered-penalty re-audits as
 //     concurrent lockstep tasks and batched sampling. Verdicts, task

@@ -129,7 +129,7 @@ func IntersectionalCoverage(o Oracle, ids []dataset.ObjectID, n, tau int, s *pat
 		return e
 	}
 	ctx := opts.context()
-	audit := withRetry(ctx, o, opts.Retry, opts.Rng)
+	audit := withRetry(ctx, o, opts.Retry, opts.Rng, opts.Parallelism)
 	if opts.Lockstep || opts.Parallelism > 1 {
 		err = runLockstep(ctx, audit, opts.Parallelism, len(unresolved), resolve)
 	} else {

@@ -149,7 +149,8 @@ func TestParallelResolutionPropagatesErrors(t *testing.T) {
 // TestResolutionHonorsRetryPolicy: a retry budget must absorb
 // transient failures in the resolution phase too — not just in the
 // leaf audits — sequentially and in parallel, with verdicts matching
-// ground truth.
+// ground truth. A transcript recorder over the flaky oracle must not
+// change that, and records each answered query once.
 func TestResolutionHonorsRetryPolicy(t *testing.T) {
 	s := genderRaceSchema()
 	counts := make([]int, s.NumSubgroups())
@@ -157,16 +158,29 @@ func TestResolutionHonorsRetryPolicy(t *testing.T) {
 		counts[i] = 15
 	}
 	d := dataset.MustFromCounts(s, counts, rand.New(rand.NewSource(75)))
-	for _, par := range []int{1, 8} {
-		flaky := &FlakyOracle{Inner: NewTruthOracle(d), FailEvery: 6}
-		res, err := IntersectionalCoverage(flaky, d.IDs(), 10, 20, s, MultipleOptions{
+	for _, tc := range []struct {
+		par      int
+		recorded bool
+	}{{1, false}, {8, false}, {1, true}, {8, true}} {
+		var o Oracle = &FlakyOracle{Inner: NewTruthOracle(d), FailEvery: 6}
+		var rec *RecordingOracle
+		if tc.recorded {
+			rec = NewRecordingOracle(o)
+			o = rec
+		}
+		res, err := IntersectionalCoverage(o, d.IDs(), 10, 20, s, MultipleOptions{
 			Rng:         rand.New(rand.NewSource(10)),
-			Parallelism: par,
+			Parallelism: tc.par,
 			Retry:       RetryPolicy{MaxAttempts: 3},
 		})
 		if err != nil {
-			t.Fatalf("parallelism %d: %v (retries should absorb transient failures end to end)", par, err)
+			t.Fatalf("parallelism %d, recorded %v: %v (retries should absorb transient failures end to end)", tc.par, tc.recorded, err)
 		}
 		checkAgainstGroundTruth(t, d, res, 20)
+		if rec != nil {
+			if got, want := len(rec.Records()), res.Multiple.Tasks+res.ResolutionTasks; got != want {
+				t.Errorf("parallelism %d: %d records, want one per answered query (%d)", tc.par, got, want)
+			}
+		}
 	}
 }

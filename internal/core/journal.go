@@ -84,17 +84,15 @@ var ErrJournalMismatch = errors.New("core: journal replay mismatch")
 // rounds by replay without touching the inner oracle, restoring the
 // governor's ledger from each record's snapshot, then switches live.
 //
-// Every Oracle and BatchOracle method funnels through the same
-// one-round-per-batch path under one mutex, so rounds serialize and
-// each record hits the journal before the next round can commit;
-// single queries journal as one-element rounds. Replay is only
+// Every round goes through one path under one mutex, so rounds
+// serialize and each record hits the journal before the next round can
+// commit; single queries journal as one-element rounds. Replay is only
 // resume-safe for deterministic round sequences — under Lockstep, or
 // for single-task sequential audits.
 type JournalingOracle struct {
-	inner   Oracle
+	inner   BatchOracle
 	journal RoundJournal
 	gov     *BudgetedOracle
-	poolWidth
 
 	mu       sync.Mutex
 	ctx      context.Context
@@ -110,7 +108,7 @@ type JournalingOracle struct {
 // replayed rounds restore it.
 func NewJournalingOracle(inner Oracle, journal RoundJournal, replay []RoundRecord, gov *BudgetedOracle) *JournalingOracle {
 	return &JournalingOracle{
-		inner:   inner,
+		inner:   AsBatchOracle(inner, 1),
 		journal: journal,
 		gov:     gov,
 		ctx:     context.Background(),
@@ -238,7 +236,7 @@ func (j *JournalingOracle) SetQueryBatch(reqs []SetRequest) ([]bool, error) {
 		j.consumeReplay(rec)
 		return append([]bool(nil), rec.SetAnswers...), decodeRoundErr(rec.ErrKind)
 	}
-	answers, err := AsBatchOracle(j.inner, j.width()).SetQueryBatch(reqs)
+	answers, err := j.inner.SetQueryBatch(reqs)
 	err = j.record(RoundRecord{
 		Sets:       cloneSetRequests(reqs),
 		SetAnswers: append([]bool{}, answers...),
@@ -263,7 +261,7 @@ func (j *JournalingOracle) PointQueryBatch(ids []dataset.ObjectID) ([][]int, err
 		j.consumeReplay(rec)
 		return clonePointAnswers(rec.PointAnswers), decodeRoundErr(rec.ErrKind)
 	}
-	labels, err := AsBatchOracle(j.inner, j.width()).PointQueryBatch(ids)
+	labels, err := j.inner.PointQueryBatch(ids)
 	err = j.record(RoundRecord{
 		Points:       append([]dataset.ObjectID{}, ids...),
 		PointAnswers: clonePointAnswers(labels),
@@ -274,29 +272,17 @@ func (j *JournalingOracle) PointQueryBatch(ids []dataset.ObjectID) ([][]int, err
 // SetQuery implements Oracle as a one-element round, so sequential
 // audit phases checkpoint too.
 func (j *JournalingOracle) SetQuery(ids []dataset.ObjectID, g pattern.Group) (bool, error) {
-	answers, err := j.SetQueryBatch([]SetRequest{{IDs: ids, Group: g}})
-	if err != nil {
-		return false, err
-	}
-	return answers[0], nil
+	return setOne(j, ids, g, false)
 }
 
 // ReverseSetQuery implements Oracle; see SetQuery.
 func (j *JournalingOracle) ReverseSetQuery(ids []dataset.ObjectID, g pattern.Group) (bool, error) {
-	answers, err := j.SetQueryBatch([]SetRequest{{IDs: ids, Group: g, Reverse: true}})
-	if err != nil {
-		return false, err
-	}
-	return answers[0], nil
+	return setOne(j, ids, g, true)
 }
 
 // PointQuery implements Oracle; see SetQuery.
 func (j *JournalingOracle) PointQuery(id dataset.ObjectID) ([]int, error) {
-	labels, err := j.PointQueryBatch([]dataset.ObjectID{id})
-	if err != nil {
-		return nil, err
-	}
-	return labels[0], nil
+	return pointOne(j, id)
 }
 
 // cloneSetRequests deep-copies a round's requests into the record, so

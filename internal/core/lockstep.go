@@ -36,8 +36,10 @@ import (
 // the identical query sequence at every Parallelism value, making the
 // full crowdsourced pipeline — worker draws, Dawid-Skene-style
 // aggregation, pricing — bit-for-bit reproducible. Parallelism only
-// bounds the pool AsBatchOracle uses to lift oracles without native
-// batching, so batched rounds still amortize per-HIT crowd latency.
+// bounds the one worker pool of a stack: the adapter at its bottom
+// that lifts a base oracle without native batching, which
+// AsBatchOracle widens through the middleware layers, so batched rounds
+// still amortize per-HIT crowd latency.
 
 // lockstepQuery is one parked oracle query awaiting its round.
 type lockstepQuery struct {

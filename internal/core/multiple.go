@@ -322,7 +322,7 @@ func MultipleCoverage(o Oracle, ids []dataset.ObjectID, n, tau int, groups []pat
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	seqOracle := withRetry(ctx, o, opts.Retry, opts.Rng)
+	seqOracle := withRetry(ctx, o, opts.Retry, opts.Rng, opts.Parallelism)
 	remaining, sampleTasks, err := LabelSamples(seqOracle, ids, budget, res.Labeled, opts.Rng)
 	if err != nil {
 		if errors.Is(err, ErrBudgetExhausted) {

@@ -45,6 +45,12 @@ func normalizeParallelism(parallelism int) int {
 // the audit service reuse it to fan trials and jobs out across
 // workers.
 func RunBounded(parallelism, n int, fn func(i int) error) error {
+	return firstError(runBounded(parallelism, n, fn))
+}
+
+// runBounded is RunBounded returning every task's error: tasks below
+// the lowest failing index all ran and succeeded.
+func runBounded(parallelism, n int, fn func(i int) error) []error {
 	if n == 0 {
 		return nil
 	}
@@ -58,7 +64,7 @@ func RunBounded(parallelism, n int, fn func(i int) error) error {
 				break
 			}
 		}
-		return firstError(errs)
+		return errs
 	}
 	// minFailed is the lowest failing index observed so far; only
 	// tasks above it are skipped.
@@ -90,7 +96,7 @@ func RunBounded(parallelism, n int, fn func(i int) error) error {
 	}
 	close(next)
 	wg.Wait()
-	return firstError(errs)
+	return errs
 }
 
 // LabelSamplesBatch is the sampling phase of Algorithm 6 issued as one
@@ -143,7 +149,7 @@ func multipleCoverageParallel(o Oracle, ids []dataset.ObjectID, n, tau, c int, g
 	// inside its round (over a native batch oracle only the unanswered
 	// suffix is), so one bad HIT never fails the whole round. Jitter is
 	// drawn from the parent RNG, which no audit task touches.
-	retried := withRetry(ctx, o, opts.Retry, opts.Rng)
+	retried := withRetry(ctx, o, opts.Retry, opts.Rng, opts.Parallelism)
 
 	// Sampling round: one batch of point queries.
 	sampler := AsBatchOracle(retried, normalizeParallelism(opts.Parallelism))

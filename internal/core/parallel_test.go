@@ -176,7 +176,7 @@ func TestRetryPreservesNativeBatching(t *testing.T) {
 		t.Fatal(err)
 	}
 	counter := &nativeBatchCounter{TruthOracle: NewTruthOracle(d)}
-	bo := AsBatchOracle(withRetry(context.Background(), counter, RetryPolicy{MaxAttempts: 3}, rand.New(rand.NewSource(1))), 8)
+	bo := AsBatchOracle(withRetry(context.Background(), counter, RetryPolicy{MaxAttempts: 3}, rand.New(rand.NewSource(1)), 8), 8)
 	if _, err := bo.PointQueryBatch(d.IDs()[:20]); err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestRetryPreservesNativeBatching(t *testing.T) {
 
 	// Over a plain oracle the same wrapper retries per request.
 	flaky := &firstAttemptFlaky{inner: NewTruthOracle(d), tried: map[dataset.ObjectID]bool{}}
-	bo = AsBatchOracle(withRetry(context.Background(), flaky, RetryPolicy{MaxAttempts: 2}, rand.New(rand.NewSource(2))), 8)
+	bo = AsBatchOracle(withRetry(context.Background(), flaky, RetryPolicy{MaxAttempts: 2}, rand.New(rand.NewSource(2)), 8), 8)
 	ids := d.IDs()[:30]
 	if _, err := bo.PointQueryBatch(ids); err != nil {
 		t.Errorf("per-request retry over plain oracle: %v", err)
@@ -243,7 +243,7 @@ func (f *firstAttemptFlaky) PointQuery(id dataset.ObjectID) ([]int, error) {
 func TestRetryGivesUpAfterBudget(t *testing.T) {
 	d := binaryDataset(t, []int{0, 1, 0, 1})
 	flaky := &FlakyOracle{Inner: NewTruthOracle(d), FailEvery: 1} // always fails
-	o := withRetry(context.Background(), flaky, RetryPolicy{MaxAttempts: 3}, rand.New(rand.NewSource(3)))
+	o := withRetry(context.Background(), flaky, RetryPolicy{MaxAttempts: 3}, rand.New(rand.NewSource(3)), 1)
 	if _, err := o.SetQuery(d.IDs(), female(d)); !errors.Is(err, ErrTransient) {
 		t.Errorf("err = %v, want transient after exhausting attempts", err)
 	}

@@ -40,29 +40,53 @@ func (p RetryPolicy) Enabled() bool { return p.MaxAttempts > 1 }
 // double-charges (and preserves the inner's request-order determinism,
 // since the committed prefix plus re-posted suffix replays the same
 // request sequence). Over a plain oracle each request retries
-// individually across the propagated pool width.
+// individually: rounds run through one adapter over the retryOracle
+// itself, built at the audit's width. A RecordingOracle is looked
+// through when choosing: over recorders above a plain oracle each
+// request still retries individually, so a failed HIT costs one
+// re-post instead of its round, and every answered HIT is recorded.
 type retryOracle struct {
 	inner  Oracle
 	policy RetryPolicy
 	ctx    context.Context
-
-	poolWidth
+	pool   BatchOracle // the adapter over r; nil when inner batches
 
 	mu  sync.Mutex // guards rng
 	rng *rand.Rand
 }
 
-// withRetry wraps o unless the policy is disabled. The context bounds
-// the backoff waits: a cancelled ctx aborts a sleeping retry
-// immediately with ctx.Err() instead of posting another attempt.
-func withRetry(ctx context.Context, o Oracle, policy RetryPolicy, rng *rand.Rand) Oracle {
+// withRetry wraps o unless the policy is disabled; parallelism is the
+// audit's width, the pool width of per-request retries over a plain
+// oracle. The context bounds the backoff waits: a cancelled ctx aborts
+// a sleeping retry immediately with ctx.Err() instead of posting
+// another attempt.
+func withRetry(ctx context.Context, o Oracle, policy RetryPolicy, rng *rand.Rand, parallelism int) Oracle {
 	if !policy.Enabled() {
 		return o
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &retryOracle{inner: o, policy: policy, ctx: ctx, rng: rng}
+	r := &retryOracle{inner: o, policy: policy, ctx: ctx, rng: rng}
+	if retriesPerRequest(o) {
+		r.pool = NewBatchAdapter(r, parallelism)
+	}
+	return r
+}
+
+// retriesPerRequest reports whether o, seen through any recorders,
+// is a plain oracle or the adapter lifting one.
+func retriesPerRequest(o Oracle) bool {
+	for {
+		rec, ok := o.(*RecordingOracle)
+		if !ok {
+			break
+		}
+		o = rec.inner()
+	}
+	_, adapted := o.(*batchAdapter)
+	_, batches := o.(BatchOracle)
+	return adapted || !batches
 }
 
 // do runs fn up to MaxAttempts times, backing off with jitter between
@@ -135,50 +159,52 @@ func (r *retryOracle) PointQuery(id dataset.ObjectID) ([]int, error) {
 // inner batch committed (and a budget governor charged) splices into
 // the accumulated answers instead of being posted — and paid — again.
 func (r *retryOracle) SetQueryBatch(reqs []SetRequest) ([]bool, error) {
-	if bo, ok := r.inner.(BatchOracle); ok {
-		var answers []bool
-		err := r.do(func() error {
-			part, e := bo.SetQueryBatch(reqs[len(answers):])
-			if rest := len(reqs) - len(answers); len(part) > rest {
-				part = part[:rest]
-			}
-			answers = append(answers, part...)
-			if e == nil && len(answers) < len(reqs) {
-				// A short answer slice without an error breaks the
-				// BatchOracle contract; surface it rather than retry.
-				return errShortBatch(len(answers), len(reqs))
-			}
-			return e
-		})
-		if err != nil && len(answers) == 0 {
-			return nil, err
-		}
-		return answers, err
+	if r.pool != nil {
+		return r.pool.SetQueryBatch(reqs)
 	}
-	return NewBatchAdapter(r, r.width()).SetQueryBatch(reqs)
+	bo := r.inner.(BatchOracle)
+	var answers []bool
+	err := r.do(func() error {
+		part, e := bo.SetQueryBatch(reqs[len(answers):])
+		if rest := len(reqs) - len(answers); len(part) > rest {
+			part = part[:rest]
+		}
+		answers = append(answers, part...)
+		if e == nil && len(answers) < len(reqs) {
+			// A short answer slice without an error breaks the
+			// BatchOracle contract; surface it rather than retry.
+			return errShortBatch(len(answers), len(reqs))
+		}
+		return e
+	})
+	if err != nil && len(answers) == 0 {
+		return nil, err
+	}
+	return answers, err
 }
 
 // PointQueryBatch implements BatchOracle; see SetQueryBatch.
 func (r *retryOracle) PointQueryBatch(ids []dataset.ObjectID) ([][]int, error) {
-	if bo, ok := r.inner.(BatchOracle); ok {
-		var labels [][]int
-		err := r.do(func() error {
-			part, e := bo.PointQueryBatch(ids[len(labels):])
-			if rest := len(ids) - len(labels); len(part) > rest {
-				part = part[:rest]
-			}
-			labels = append(labels, part...)
-			if e == nil && len(labels) < len(ids) {
-				return errShortBatch(len(labels), len(ids))
-			}
-			return e
-		})
-		if err != nil && len(labels) == 0 {
-			return nil, err
-		}
-		return labels, err
+	if r.pool != nil {
+		return r.pool.PointQueryBatch(ids)
 	}
-	return NewBatchAdapter(r, r.width()).PointQueryBatch(ids)
+	bo := r.inner.(BatchOracle)
+	var labels [][]int
+	err := r.do(func() error {
+		part, e := bo.PointQueryBatch(ids[len(labels):])
+		if rest := len(ids) - len(labels); len(part) > rest {
+			part = part[:rest]
+		}
+		labels = append(labels, part...)
+		if e == nil && len(labels) < len(ids) {
+			return errShortBatch(len(labels), len(ids))
+		}
+		return e
+	})
+	if err != nil && len(labels) == 0 {
+		return nil, err
+	}
+	return labels, err
 }
 
 // errShortBatch reports a batch that returned fewer answers than

@@ -153,13 +153,13 @@ func TestRetryBatchNoDoubleCharge(t *testing.T) {
 		return &prefixFlakyBatch{inner: NewTruthOracle(d), failEvery: 4}
 	}
 	gov := NewBudgetedOracle(fresh(t), Budget{MaxHITs: 100})
-	r := withRetry(context.Background(), gov, policy, rand.New(rand.NewSource(1)))
+	r := withRetry(context.Background(), gov, policy, rand.New(rand.NewSource(1)), 1)
 	answers, err := AsBatchOracle(r, 1).SetQueryBatch(reqs)
 	check("retry(gov(flaky))", answers, err, gov.Spent(), 9)
 
 	// Governor over retry: the retries happen below the governor, so
 	// the round charges its 6 requests once.
-	r2 := withRetry(context.Background(), fresh(t), policy, rand.New(rand.NewSource(2)))
+	r2 := withRetry(context.Background(), fresh(t), policy, rand.New(rand.NewSource(2)), 1)
 	gov2 := NewBudgetedOracle(r2, Budget{MaxHITs: 100})
 	answers2, err2 := gov2.SetQueryBatch(reqs)
 	check("gov(retry(flaky))", answers2, err2, gov2.Spent(), 6)
@@ -182,7 +182,7 @@ func TestRetryPointBatchSuffixSplice(t *testing.T) {
 
 	flaky := &prefixFlakyBatch{inner: NewTruthOracle(d), failEvery: 4}
 	gov := NewBudgetedOracle(flaky, Budget{MaxHITs: 100})
-	r := withRetry(context.Background(), gov, RetryPolicy{MaxAttempts: 3}, rand.New(rand.NewSource(3)))
+	r := withRetry(context.Background(), gov, RetryPolicy{MaxAttempts: 3}, rand.New(rand.NewSource(3)), 1)
 	labels, err := AsBatchOracle(r, 1).PointQueryBatch(ids)
 	if err != nil {
 		t.Fatalf("err = %v, want success", err)
@@ -215,7 +215,7 @@ func TestRetryBackoffCancels(t *testing.T) {
 	flaky := &FlakyOracle{Inner: NewTruthOracle(d), FailEvery: 1} // every call fails
 
 	ctx, cancel := context.WithCancel(context.Background())
-	r := withRetry(ctx, flaky, RetryPolicy{MaxAttempts: 5, Backoff: time.Hour}, rand.New(rand.NewSource(4)))
+	r := withRetry(ctx, flaky, RetryPolicy{MaxAttempts: 5, Backoff: time.Hour}, rand.New(rand.NewSource(4)), 1)
 	go func() {
 		time.Sleep(20 * time.Millisecond)
 		cancel()

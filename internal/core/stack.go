@@ -92,21 +92,13 @@ func NewStack(base Oracle, cfg StackConfig) (*Stack, error) {
 // lockstep scheduler: true when a journal or trust layer is present.
 func (s *Stack) Lockstep() bool { return s.Journal != nil || s.Trust != nil }
 
-// governorOf finds the budget governor under o by walking down through
-// the cache, trust and journal layers; nil when there is none.
+// governorOf finds the budget governor under o by walking down the
+// stack's layers; nil when there is none.
 func governorOf(o Oracle) *BudgetedOracle {
-	for {
-		switch l := o.(type) {
-		case *BudgetedOracle:
-			return l
-		case *CachingOracle:
-			o = l.inner
-		case *TrustOracle:
-			o = l.inner
-		case *JournalingOracle:
-			o = l.inner
-		default:
-			return nil
+	for ; o != nil; o = below(o) {
+		if g, ok := o.(*BudgetedOracle); ok {
+			return g
 		}
 	}
+	return nil
 }

@@ -35,9 +35,19 @@ type QueryRecord struct {
 
 // RecordingOracle wraps an Oracle and records every interaction: the
 // audit transcript a deployment keeps for billing disputes, replay
-// debugging, and posterior quality analysis. Safe for concurrent use.
+// debugging, and posterior quality analysis. It answers rounds, and
+// appends each round's committed answers in request order under one
+// lock, so a transcript of a concurrent audit is as deterministic as
+// its round sequence; single queries are one-element rounds. Under a
+// RetryPolicy over a plain inner oracle each request retries as its own
+// round, so records then land in arrival order. Safe for concurrent
+// use.
 type RecordingOracle struct {
+	// Inner is the recorded oracle. Set it before the first query.
 	Inner Oracle
+
+	lift   sync.Once
+	rounds BatchOracle // Inner, lifted into rounds on first use
 
 	mu      sync.Mutex
 	records []QueryRecord
@@ -48,43 +58,55 @@ func NewRecordingOracle(inner Oracle) *RecordingOracle {
 	return &RecordingOracle{Inner: inner}
 }
 
-func (r *RecordingOracle) append(rec QueryRecord) {
+// inner returns Inner lifted into rounds, lifting it once.
+func (r *RecordingOracle) inner() BatchOracle {
+	r.lift.Do(func() { r.rounds = AsBatchOracle(r.Inner, 1) })
+	return r.rounds
+}
+
+// SetQueryBatch implements BatchOracle: the committed answers (a
+// failing round's answered prefix included) are recorded in request
+// order.
+func (r *RecordingOracle) SetQueryBatch(reqs []SetRequest) ([]bool, error) {
+	answers, err := r.inner().SetQueryBatch(reqs)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	rec.Seq = len(r.records)
-	r.records = append(r.records, rec)
+	for i, ans := range answers {
+		kind := KindSet
+		if reqs[i].Reverse {
+			kind = KindReverse
+		}
+		r.records = append(r.records, QueryRecord{Seq: len(r.records), Kind: kind,
+			IDs: cloneIDs(reqs[i].IDs), Group: reqs[i].Group.String(), Answer: ans})
+	}
+	return answers, err
 }
 
-// SetQuery implements Oracle.
+// PointQueryBatch implements BatchOracle; see SetQueryBatch.
+func (r *RecordingOracle) PointQueryBatch(ids []dataset.ObjectID) ([][]int, error) {
+	labels, err := r.inner().PointQueryBatch(ids)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i, l := range labels {
+		r.records = append(r.records, QueryRecord{Seq: len(r.records), Kind: KindPoint,
+			IDs: []dataset.ObjectID{ids[i]}, Labels: append([]int{}, l...)})
+	}
+	return labels, err
+}
+
+// SetQuery implements Oracle as a one-element round.
 func (r *RecordingOracle) SetQuery(ids []dataset.ObjectID, g pattern.Group) (bool, error) {
-	ans, err := r.Inner.SetQuery(ids, g)
-	if err != nil {
-		return ans, err
-	}
-	r.append(QueryRecord{Kind: KindSet, IDs: cloneIDs(ids), Group: g.String(), Answer: ans})
-	return ans, nil
+	return setOne(r, ids, g, false)
 }
 
-// ReverseSetQuery implements Oracle.
+// ReverseSetQuery implements Oracle as a one-element round.
 func (r *RecordingOracle) ReverseSetQuery(ids []dataset.ObjectID, g pattern.Group) (bool, error) {
-	ans, err := r.Inner.ReverseSetQuery(ids, g)
-	if err != nil {
-		return ans, err
-	}
-	r.append(QueryRecord{Kind: KindReverse, IDs: cloneIDs(ids), Group: g.String(), Answer: ans})
-	return ans, nil
+	return setOne(r, ids, g, true)
 }
 
-// PointQuery implements Oracle.
+// PointQuery implements Oracle as a one-element round.
 func (r *RecordingOracle) PointQuery(id dataset.ObjectID) ([]int, error) {
-	labels, err := r.Inner.PointQuery(id)
-	if err != nil {
-		return labels, err
-	}
-	cp := make([]int, len(labels))
-	copy(cp, labels)
-	r.append(QueryRecord{Kind: KindPoint, IDs: []dataset.ObjectID{id}, Labels: cp})
-	return labels, nil
+	return pointOne(r, id)
 }
 
 // Records returns a copy of the transcript so far.
@@ -133,7 +155,9 @@ func cloneIDs(ids []dataset.ObjectID) []dataset.ObjectID {
 // i-th query of the re-run gets the i-th recorded answer, after a
 // consistency check on kind and set size. It lets a recorded audit be
 // re-executed deterministically — e.g. to debug algorithm changes
-// against a paid crowd transcript without paying again.
+// against a paid crowd transcript without paying again. Rounds take
+// their answers in request order under one lock, matching the
+// RecordingOracle; single queries are one-element rounds.
 type ReplayOracle struct {
 	records []QueryRecord
 	next    int
@@ -155,9 +179,9 @@ var ErrTranscriptExhausted = errors.New("core: transcript exhausted")
 // diverges from the recording.
 var ErrTranscriptMismatch = errors.New("core: transcript mismatch")
 
+// take consumes the next record after checking its shape. Callers hold
+// r.mu.
 func (r *ReplayOracle) take(kind QueryKind, size int) (QueryRecord, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.next >= len(r.records) {
 		return QueryRecord{}, ErrTranscriptExhausted
 	}
@@ -170,22 +194,54 @@ func (r *ReplayOracle) take(kind QueryKind, size int) (QueryRecord, error) {
 	return rec, nil
 }
 
-// SetQuery implements Oracle.
-func (r *ReplayOracle) SetQuery(ids []dataset.ObjectID, _ pattern.Group) (bool, error) {
-	rec, err := r.take(KindSet, len(ids))
-	return rec.Answer, err
+// SetQueryBatch implements BatchOracle; a divergence fails the round
+// after its answered prefix.
+func (r *ReplayOracle) SetQueryBatch(reqs []SetRequest) ([]bool, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	answers := make([]bool, len(reqs))
+	for i, req := range reqs {
+		kind := KindSet
+		if req.Reverse {
+			kind = KindReverse
+		}
+		rec, err := r.take(kind, len(req.IDs))
+		if err != nil {
+			return answers[:i], err
+		}
+		answers[i] = rec.Answer
+	}
+	return answers, nil
 }
 
-// ReverseSetQuery implements Oracle.
-func (r *ReplayOracle) ReverseSetQuery(ids []dataset.ObjectID, _ pattern.Group) (bool, error) {
-	rec, err := r.take(KindReverse, len(ids))
-	return rec.Answer, err
+// PointQueryBatch implements BatchOracle; see SetQueryBatch.
+func (r *ReplayOracle) PointQueryBatch(ids []dataset.ObjectID) ([][]int, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	labels := make([][]int, len(ids))
+	for i := range ids {
+		rec, err := r.take(KindPoint, 1)
+		if err != nil {
+			return labels[:i], err
+		}
+		labels[i] = rec.Labels
+	}
+	return labels, nil
 }
 
-// PointQuery implements Oracle.
-func (r *ReplayOracle) PointQuery(dataset.ObjectID) ([]int, error) {
-	rec, err := r.take(KindPoint, 1)
-	return rec.Labels, err
+// SetQuery implements Oracle as a one-element round.
+func (r *ReplayOracle) SetQuery(ids []dataset.ObjectID, g pattern.Group) (bool, error) {
+	return setOne(r, ids, g, false)
+}
+
+// ReverseSetQuery implements Oracle as a one-element round.
+func (r *ReplayOracle) ReverseSetQuery(ids []dataset.ObjectID, g pattern.Group) (bool, error) {
+	return setOne(r, ids, g, true)
+}
+
+// PointQuery implements Oracle as a one-element round.
+func (r *ReplayOracle) PointQuery(id dataset.ObjectID) ([]int, error) {
+	return pointOne(r, id)
 }
 
 // Remaining returns how many recorded answers are left.

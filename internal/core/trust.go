@@ -247,12 +247,11 @@ type workerTally struct {
 // identical probe-augmented requests), and never consults the feed —
 // feed starvation degrades scoring, never determinism.
 type TrustOracle struct {
-	inner  Oracle
+	inner  BatchOracle
 	policy TrustPolicy
 	probes []GoldProbe
 	feed   AnswerFeed
 	screen WorkerScreener
-	poolWidth
 
 	mu           sync.Mutex
 	setRounds    int
@@ -279,7 +278,7 @@ func NewTrustOracle(inner Oracle, cfg TrustConfig) (*TrustOracle, error) {
 		}
 	}
 	return &TrustOracle{
-		inner:    inner,
+		inner:    AsBatchOracle(inner, 1),
 		policy:   pol,
 		probes:   append([]GoldProbe(nil), cfg.Probes...),
 		feed:     cfg.Feed,
@@ -346,7 +345,7 @@ func (t *TrustOracle) SetQueryBatch(reqs []SetRequest) ([]bool, error) {
 		combined = append(combined, reqs...)
 		combined = append(combined, pr.Req)
 	}
-	answers, err := AsBatchOracle(t.inner, t.width()).SetQueryBatch(combined)
+	answers, err := t.inner.SetQueryBatch(combined)
 	t.observe(reqs, answers, probe)
 	t.applyScreening()
 	if probe == nil {
@@ -371,35 +370,23 @@ func (t *TrustOracle) PointQueryBatch(ids []dataset.ObjectID) ([][]int, error) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return AsBatchOracle(t.inner, t.width()).PointQueryBatch(ids)
+	return t.inner.PointQueryBatch(ids)
 }
 
 // SetQuery implements Oracle as a one-element round, so sequential
 // audit phases stay on the probe schedule too.
 func (t *TrustOracle) SetQuery(ids []dataset.ObjectID, g pattern.Group) (bool, error) {
-	answers, err := t.SetQueryBatch([]SetRequest{{IDs: ids, Group: g}})
-	if err != nil {
-		return false, err
-	}
-	return answers[0], nil
+	return setOne(t, ids, g, false)
 }
 
 // ReverseSetQuery implements Oracle; see SetQuery.
 func (t *TrustOracle) ReverseSetQuery(ids []dataset.ObjectID, g pattern.Group) (bool, error) {
-	answers, err := t.SetQueryBatch([]SetRequest{{IDs: ids, Group: g, Reverse: true}})
-	if err != nil {
-		return false, err
-	}
-	return answers[0], nil
+	return setOne(t, ids, g, true)
 }
 
 // PointQuery implements Oracle by pass-through; see PointQueryBatch.
 func (t *TrustOracle) PointQuery(id dataset.ObjectID) ([]int, error) {
-	labels, err := t.PointQueryBatch([]dataset.ObjectID{id})
-	if err != nil {
-		return nil, err
-	}
-	return labels[0], nil
+	return pointOne(t, id)
 }
 
 // observe consumes the feed delta for one committed set round: the

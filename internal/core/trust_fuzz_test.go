@@ -117,7 +117,7 @@ func FuzzTrustVerdict(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tr.widen(width)
+			bo := AsBatchOracle(tr, width)
 			ids := d.IDs()
 			for r := 0; r < rounds; r++ {
 				n := abs(next())%3 + 1
@@ -135,7 +135,7 @@ func FuzzTrustVerdict(f *testing.F) {
 						Value:  next(),
 					})
 				}
-				if _, err := tr.SetQueryBatch(reqs); err != nil {
+				if _, err := bo.SetQueryBatch(reqs); err != nil {
 					t.Fatalf("round %d: %v", r, err)
 				}
 			}

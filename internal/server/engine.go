@@ -474,16 +474,27 @@ func (e *Engine) finish(j *job, state JobState, res *JobResult, err error) {
 	if err != nil {
 		ev.Error = err.Error()
 	}
-	e.publish(j, ev)
 	j.mu.Lock()
 	subs := j.subs
 	j.subs = nil
-	close(j.done)
-	j.mu.Unlock()
-	//lint:ordered closes distinct channels; no subscriber observes another's close order
+	//lint:ordered each subscriber channel gets its own send and close; none observes another's order
 	for _, ch := range subs {
+		// The terminal event is never dropped: a full buffer gives up
+		// its oldest progress event instead. Only finish and publish
+		// send, both under j.mu, so the send below cannot block.
+		select {
+		case ch <- ev:
+		default:
+			select {
+			case <-ch:
+			default:
+			}
+			ch <- ev
+		}
 		close(ch)
 	}
+	close(j.done)
+	j.mu.Unlock()
 }
 
 // writeMeta persists a job meta atomically (temp file + rename,
@@ -639,7 +650,7 @@ func (e *Engine) Subscribe(id string) (<-chan Event, func(), error) {
 
 // publish fans an event out to a job's subscribers without blocking:
 // a full subscriber buffer drops the event (progress is advisory; the
-// terminal handshake is the channel close in finish).
+// terminal state event and the channel close are finish's).
 func (e *Engine) publish(j *job, ev Event) {
 	j.mu.Lock()
 	//lint:ordered non-blocking sends to distinct advisory channels; SSE ordering per subscriber is preserved

@@ -468,3 +468,40 @@ func TestSubmitValidation(t *testing.T) {
 		})
 	}
 }
+
+// TestStreamKeepsTerminalEventForSlowSubscriber: a subscriber that
+// reads nothing while a job commits more rounds than its buffer holds
+// still receives the terminal state event last — progress events are
+// advisory, the terminal one is not.
+func TestStreamKeepsTerminalEventForSlowSubscriber(t *testing.T) {
+	e := newTestEngine(t, Options{Workers: 1})
+	cfg := smallJob(7)
+	cfg.Dataset.N = 2000
+	cfg.Dataset.Minority = 30
+	cfg.Tau = 25
+	cfg.SetSize = 6
+	cfg.HITDelayMicros = 100 // outlast the Subscribe below
+	id, err := e.Submit(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, unsub, err := e.Subscribe(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer unsub()
+	st, err := e.Wait(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateDone || st.Rounds <= 64 {
+		t.Fatalf("state %s after %d rounds, want done after more than 64", st.State, st.Rounds)
+	}
+	var last Event
+	for ev := range sub {
+		last = ev
+	}
+	if last.Type != "state" || last.State != st.State {
+		t.Errorf("last event %+v, want the terminal state event %q", last, st.State)
+	}
+}

@@ -240,3 +240,37 @@ func BenchmarkSequentialAuditThroughCache(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(hits), "ns/HIT")
 	b.ReportMetric(float64(hits)/float64(b.N), "HITs/op")
 }
+
+// BenchmarkSequentialClassifierAudit measures width-1
+// Classifier-Coverage over the truth oracle, one audit per iteration:
+// `partition` runs a precise classifier (Partition cleanup), `label`
+// an imprecise one (Label cleanup plus the residual hunt). HITs/op is
+// the audit's task count; divide allocs/op by it for allocations per
+// HIT.
+func BenchmarkSequentialClassifierAudit(b *testing.B) {
+	d, err := dataset.BinaryWithMinority(20000, 600, rand.New(rand.NewSource(7)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := dataset.Female(d.Schema())
+	for _, bc := range []struct {
+		name   string
+		tp, fp int
+	}{{"partition", 500, 20}, {"label", 300, 400}} {
+		predicted := d.PredictedSet(g, bc.tp, bc.fp)
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			o := NewTruthOracle(d)
+			hits := 0
+			for i := 0; i < b.N; i++ {
+				res, err := ClassifierCoverage(o, d.IDs(), predicted, 20, 450, g, ClassifierOptions{Rng: rand.New(rand.NewSource(1))})
+				if err != nil {
+					b.Fatal(err)
+				}
+				hits += res.Tasks
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(hits), "ns/HIT")
+			b.ReportMetric(float64(hits)/float64(b.N), "HITs/op")
+		})
+	}
+}

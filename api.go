@@ -620,6 +620,16 @@ func (c *SimulatedCrowd) Screener() WorkerScreener {
 	return c.platform
 }
 
+// Warm replays a journal's committed rounds into a fresh crowd built
+// with the journaled run's dataset, seed and options, so the live
+// rounds of a resumed audit draw the same workers an uninterrupted run
+// would. Call it before the audit starts, with the records
+// OpenJournal returned. It fails with ErrJournalMismatch when the
+// crowd does not reproduce the journal's answers.
+func (c *SimulatedCrowd) Warm(replay []RoundRecord) error {
+	return c.platform.Warm(replay)
+}
+
 // SetQuery implements Oracle.
 func (c *SimulatedCrowd) SetQuery(ids []ObjectID, g Group) (bool, error) {
 	return c.platform.SetQuery(ids, g)

@@ -70,7 +70,7 @@ func run(args []string, out, errOut io.Writer) (code int) {
 		maxHITs   = fs.Int("max-hits", 0, "cap the committed crowd HITs; the audit returns a deterministic partial verdict when the cap is hit (0 = unlimited)")
 		maxSpend  = fs.Float64("max-spend", 0, "cap the committed crowd spend; with -crowd priced by the deployment's cost model (assignments x price + fee), otherwise one unit per HIT (0 = unlimited)")
 		journalAt = fs.String("journal", "", "checkpoint every committed oracle round to this crash-safe journal file (implies -lockstep)")
-		resume    = fs.Bool("resume", false, "resume from the journal's committed rounds instead of starting fresh (requires -journal); replayed rounds touch neither the crowd nor the budget")
+		resume    = fs.Bool("resume", false, "resume from the journal's committed rounds instead of starting fresh (requires -journal); replayed rounds are not re-charged to the budget, and with -crowd (without -trust) they first re-warm the fresh simulated crowd so live rounds match an uninterrupted run")
 		advStrat  = fs.String("adversary-strategy", "", "plant adversarial workers in the simulated crowd: lazy-yes, random-spam or colluding-liar (requires -crowd; honest workers stay byte-identical)")
 		advRate   = fs.Float64("adversary-rate", 0.25, "adversarial fraction of the worker pool in [0,1] (with -adversary-strategy)")
 		trust     = fs.Bool("trust", false, "screen adversarial workers with the gold-probe trust middleware (requires -crowd; implies -lockstep; with -resume, replayed verdicts and the probe schedule restore exactly but trust evidence restarts — the raw answer feed is process-local, not journaled)")
@@ -177,6 +177,17 @@ func run(args []string, out, errOut io.Writer) (code int) {
 				}
 			}
 		}()
+		// The simulated crowd advances its worker RNG per HIT: re-post
+		// the journaled rounds to it so live rounds continue where the
+		// interrupted run stopped. Not under -trust, whose worker
+		// exclusions are not journaled, so the warmed crowd would not
+		// reproduce the rounds that followed them.
+		if *resume && crowdOracle != nil && !*trust {
+			if err := crowdOracle.Warm(replay); err != nil {
+				fmt.Fprintln(errOut, "cvgrun:", err)
+				return 1
+			}
+		}
 		auditor = auditor.WithJournal(jnl, replay)
 		if *resume {
 			fmt.Fprintf(out, "journal: resuming %d committed rounds from %s\n", len(replay), *journalAt)

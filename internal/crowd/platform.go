@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"imagecvg/internal/core"
@@ -381,6 +382,52 @@ func (p *Platform) PointQueryBatch(ids []dataset.ObjectID) ([][]int, error) {
 		labels[i] = l
 	}
 	return labels, nil
+}
+
+// Warm re-posts each journaled round's answered prefix to a fresh,
+// identically-seeded platform and verifies the answers match the
+// journal. The platform is a pure function of (seed, request
+// sequence), so this reconstructs its state (worker RNG stream, cost
+// ledger) exactly, and live rounds after a journal replay continue
+// byte-identical to an uninterrupted run. A mismatch means the
+// deployment no longer reproduces the journal (changed dataset, seed
+// or configuration) and fails with core.ErrJournalMismatch rather than
+// fabricating a diverged resume.
+func (p *Platform) Warm(replay []core.RoundRecord) error {
+	for _, rec := range replay {
+		if rec.IsPointRound() {
+			n := len(rec.PointAnswers)
+			if n == 0 {
+				continue
+			}
+			got, err := p.PointQueryBatch(rec.Points[:n])
+			if err != nil {
+				return fmt.Errorf("crowd: warm round %d: %w", rec.Round, err)
+			}
+			for i := range got {
+				if !slices.Equal(got[i], rec.PointAnswers[i]) {
+					return fmt.Errorf("%w: warmed platform diverged from journal at round %d point %d",
+						core.ErrJournalMismatch, rec.Round, i)
+				}
+			}
+			continue
+		}
+		n := len(rec.SetAnswers)
+		if n == 0 {
+			continue
+		}
+		got, err := p.SetQueryBatch(rec.Sets[:n])
+		if err != nil {
+			return fmt.Errorf("crowd: warm round %d: %w", rec.Round, err)
+		}
+		for i := range got {
+			if got[i] != rec.SetAnswers[i] {
+				return fmt.Errorf("%w: warmed platform diverged from journal at round %d set %d",
+					core.ErrJournalMismatch, rec.Round, i)
+			}
+		}
+	}
+	return nil
 }
 
 // setQuery publishes one set/reverse-set HIT; callers hold p.mu.

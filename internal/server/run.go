@@ -72,7 +72,7 @@ func (e *Engine) runAudit(ctx context.Context, j *job) (res *JobResult, err erro
 		// answers those rounds from the journal without re-charging,
 		// and live rounds continue byte-identical to an uninterrupted
 		// run.
-		if werr := warmPlatform(p, replay); werr != nil {
+		if werr := p.Warm(replay); werr != nil {
 			return nil, werr
 		}
 		oracle, costFn = p, p.HITCost()
@@ -172,62 +172,6 @@ func newPlatform(ds *dataset.Dataset, cfg JobConfig) (*crowd.Platform, error) {
 		c.Profile = crowd.DefaultProfile(cfg.PoolSize)
 	}
 	return crowd.NewPlatform(ds, c)
-}
-
-// warmPlatform re-posts each journaled round's answered prefix to a
-// fresh identically-seeded platform and verifies the answers match
-// the journal — the resume path for the order-dependent crowd oracle.
-// A mismatch means the job's configuration no longer reproduces the
-// journal (changed dataset, seed or deployment) and fails loudly
-// rather than fabricating a diverged resume.
-func warmPlatform(p *crowd.Platform, replay []core.RoundRecord) error {
-	for _, rec := range replay {
-		if rec.IsPointRound() {
-			n := len(rec.PointAnswers)
-			if n == 0 {
-				continue
-			}
-			got, err := p.PointQueryBatch(rec.Points[:n])
-			if err != nil {
-				return fmt.Errorf("server: warm round %d: %w", rec.Round, err)
-			}
-			for i := range got {
-				if !equalInts(got[i], rec.PointAnswers[i]) {
-					return fmt.Errorf("%w: warmed platform diverged from journal at round %d point %d",
-						core.ErrJournalMismatch, rec.Round, i)
-				}
-			}
-			continue
-		}
-		n := len(rec.SetAnswers)
-		if n == 0 {
-			continue
-		}
-		got, err := p.SetQueryBatch(rec.Sets[:n])
-		if err != nil {
-			return fmt.Errorf("server: warm round %d: %w", rec.Round, err)
-		}
-		for i := range got {
-			if got[i] != rec.SetAnswers[i] {
-				return fmt.Errorf("%w: warmed platform diverged from journal at round %d set %d",
-					core.ErrJournalMismatch, rec.Round, i)
-			}
-		}
-	}
-	return nil
-}
-
-// equalInts compares two label vectors.
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // notifyJournal wraps the file journal as the engine's RoundJournal:

@@ -504,15 +504,17 @@ func (a *Auditor) AuditIntersectional(ids []ObjectID, s *Schema) (*Intersectiona
 }
 
 // AuditWithClassifier audits one group using a pre-trained
-// classifier's predicted-positive set (Algorithm 4). With
-// WithParallelism the audit runs on the batched round engine — the
-// precision sample posts as one point-query round, the Label phase as
-// bounded rounds with a deterministic early stop, and the Partition
-// phase as one reverse-set round per tree level — and those rounds
-// commit through the deterministic lockstep scheduler, making the full
-// result bit-identical at every WithParallelism value above 1 even
-// through the order-dependent simulated crowd. Results equal the sequential engine
-// exactly for order-independent oracles.
+// classifier's predicted-positive set (Algorithm 4). Every phase runs
+// as rounds of HITs: the precision sample as one point-query round,
+// the Label phase as bounded rounds with a deterministic early stop,
+// and the Partition phase as clipped reverse-set rounds. With
+// WithParallelism above 1 (or WithLockstep) each round commits through
+// the deterministic lockstep scheduler, making the full result
+// bit-identical at every width even through the order-dependent
+// simulated crowd. Otherwise Label and Partition rounds hold one query
+// each and every query posts on its own, in the paper's sequential
+// order. Both modes give the same results for order-independent
+// oracles.
 func (a *Auditor) AuditWithClassifier(ids, predicted []ObjectID, g Group) (ClassifierResult, error) {
 	return core.ClassifierCoverage(a.stack.Top, ids, predicted, a.setSize, a.tau, g,
 		core.ClassifierOptions{

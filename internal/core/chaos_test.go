@@ -77,7 +77,7 @@ func TestPartitionCleanTerminatesUnderChaos(t *testing.T) {
 			ids[i] = dataset.ObjectID(i)
 		}
 		o := &chaoticOracle{schema: s, rng: rng}
-		confirmed, _, tasks, err := partitionClean(o, ids, 1+rng.Intn(32), n+1, g)
+		confirmed, _, tasks, err := partitionWalk(o, false, 1, ids, 1+rng.Intn(32), n+1, g)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -9,9 +9,9 @@ import (
 
 // FuzzPartitionClean fuzzes the Partition function of Algorithm 5 —
 // predicted-set composition (size, member fraction, interleaving),
-// chunk size and the early-stop threshold — and checks both cleaning
-// engines against a naive exhaustive-labeling reference (count the
-// true members of the predicted set straight from ground truth):
+// chunk size and the early-stop threshold — and checks the reference
+// partitionClean against a naive exhaustive-labeling reference (count
+// the true members of the predicted set straight from ground truth):
 //
 //   - the confirmed count never exceeds the true member count, so the
 //     sibling inference can never double-count a range;
@@ -19,9 +19,9 @@ import (
 //   - an early stop (drained == false) only happens at or above the
 //     stop threshold, and a threshold beyond the true member count can
 //     therefore never stop early;
-//   - the level-round engine (partitionCleanRounds) commits exactly
-//     the sequential engine's confirmed count, drain flag and task
-//     count.
+//   - the production walk (partitionCleanRounds), in sequential mode
+//     and in lockstep rounds, commits exactly the reference's
+//     confirmed count, drain flag and task count.
 func FuzzPartitionClean(f *testing.F) {
 	f.Add(int64(1), uint16(40), uint8(10), uint8(8), uint8(120))
 	f.Add(int64(7), uint16(1), uint8(1), uint8(0), uint8(0))
@@ -78,15 +78,17 @@ func FuzzPartitionClean(f *testing.F) {
 			t.Fatalf("zero tasks over %d objects", size)
 		}
 
-		// The level-round engine must commit the identical outcome.
-		e := &classifierEngine{o: NewTruthOracle(d), parallelism: int(seed&3) + 1}
-		gotC, gotD, gotT, _, err := e.partitionCleanRounds(d.IDs(), chunk, stopAt, g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotC != confirmed || gotD != drained || gotT != tasks {
-			t.Fatalf("rounds=(%d,%v,%d) diverged from sequential (%d,%v,%d) size=%d chunk=%d stopAt=%d",
-				gotC, gotD, gotT, confirmed, drained, tasks, size, chunk, stopAt)
+		// The production walk must commit the identical outcome in
+		// both modes.
+		for _, lockstep := range []bool{false, true} {
+			gotC, gotD, gotT, err := partitionWalk(NewTruthOracle(d), lockstep, int(seed&3)+1, d.IDs(), chunk, stopAt, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotC != confirmed || gotD != drained || gotT != tasks {
+				t.Fatalf("walk (lockstep=%v)=(%d,%v,%d) diverged from reference (%d,%v,%d) size=%d chunk=%d stopAt=%d",
+					lockstep, gotC, gotD, gotT, confirmed, drained, tasks, size, chunk, stopAt)
+			}
 		}
 	})
 }

@@ -8,13 +8,12 @@ import (
 	"imagecvg/internal/pattern"
 )
 
-// This file is the batched round engine behind
-// ClassifierOptions.Parallelism — Algorithm 4/5 with every
-// phase posting whole rounds of HITs instead of one at a time:
+// This file is the round walk behind ClassifierCoverage — the one
+// implementation of Algorithm 4/5, posting every phase as rounds of
+// HITs:
 //
-//   - the precision sample (line 2-3) becomes a single point-query
-//     round over the same objects, in the same order, the sequential
-//     loop would draw (both engines share the Rng.Perm consumption);
+//   - the precision sample (line 2-3) is a single point-query round
+//     over the objects the Rng.Perm draws, in draw order;
 //   - the Label phase (Algorithm 5) issues bounded rounds of point
 //     queries over the unsampled predicted objects and commits the
 //     answers in predicted-set order with a deterministic early stop:
@@ -24,166 +23,142 @@ import (
 //     the first index where verified >= tau, discarding later
 //     in-flight answers;
 //   - the Partition phase (Algorithm 5) runs the divide-and-conquer
-//     queue of the sequential engine, but posts the front of the queue
-//     as one reverse-set round per iteration. The round is clipped to
-//     the prefix of nodes whose cumulative size reaches stopAt -
-//     confirmed (and to the budget headroom): nodes past that point
-//     are pure speculation — if every posted node confirmed, the early
-//     stop would already fire — so the over-issue of a wide frontier
-//     shrinks exactly when the remaining need is small. Commit order,
-//     sibling inference and the early stop replicate partitionClean
-//     verbatim (an inferred sibling's in-flight answer is discarded,
-//     children re-enter the queue at the back), so the committed
-//     results equal the sequential engine's for any clip width.
+//     FIFO queue and posts the front of the queue as one reverse-set
+//     round per iteration. The round is clipped to the prefix of nodes
+//     whose cumulative size reaches stopAt - confirmed (and to the
+//     budget headroom): nodes past that point are pure speculation —
+//     if every posted node confirmed, the early stop would already
+//     fire — so the over-issue of a wide frontier shrinks exactly when
+//     the remaining need is small. Commits follow queue order; an
+//     inferred sibling's in-flight answer is discarded and children
+//     re-enter the queue at the back, so the committed results are the
+//     same for any clip width.
 //
-// Round composition is a pure function of previously committed answers
-// — never of Parallelism — so the engine is level-synchronous by
-// construction: the rounds commit through the canonical lockstep
-// scheduler as one BatchOracle batch in issue order, making the full
-// ClassifierResult bit-identical at every Parallelism value even
-// through order-dependent oracles like the crowd Platform.
+// The walk has two modes, picked by runTasks:
 //
-// Determinism vs cost: the commit walks replicate the sequential
-// loops' visit order exactly, so Strategy, Count, Exact and the task
-// breakdown equal the sequential engine's for order-independent
-// oracles — Tasks counts committed queries only. The price of posting
-// rounds speculatively is over-issue: answers the early stop or the
-// sibling inference discards were still real HITs (the same tradeoff
-// GroupCoverageRounds documents), bounded per phase by one round.
-// Budget exhaustion surfaces as a committed prefix of one round in
-// canonical order, translated into a partial ClassifierResult with
+//   - Sequential (Parallelism <= 1 without Lockstep): Label and
+//     Partition rounds hold one query each, and every round posts its
+//     queries one at a time, in order, through the audit's oracle. The
+//     oracle stack sees the paper's sequential query sequence.
+//   - Lockstep (Lockstep, or Parallelism > 1): every round commits
+//     through the canonical lockstep scheduler as one BatchOracle
+//     batch in issue order. Round composition is a pure function of
+//     previously committed answers — never of Parallelism — so the
+//     full ClassifierResult is bit-identical at every Parallelism
+//     value even through order-dependent oracles like the crowd
+//     Platform.
+//
+// Both modes commit in the same order, so for order-independent
+// oracles Strategy, Count, Exact and the task breakdown are the same in
+// either; Tasks counts committed queries only. The price of wide
+// rounds is over-issue: answers the early stop or the sibling
+// inference discards were still real HITs, bounded per phase by one
+// round. Budget exhaustion surfaces as a committed prefix of one round
+// in canonical order, translated into a partial ClassifierResult with
 // Exhausted set.
 
-// classifierEngine dispatches one phase round at a time through
-// runLockstep, one task per in-flight query, so the round commits as
-// one canonical BatchOracle batch. gov, when non-nil, is the budget
-// governor already wrapped around o; the engine reads its headroom to
-// narrow speculative rounds.
+// classifierEngine posts one phase round at a time through runTasks,
+// one task per query. gov, when non-nil, is the budget governor
+// already wrapped around o; lockstep rounds read its headroom to narrow
+// speculative rounds.
 type classifierEngine struct {
 	o           Oracle
 	gov         *BudgetedOracle
 	ctx         context.Context
+	lockstep    bool
 	parallelism int
+	g           pattern.Group
+
+	// Per-round scratch, reused across rounds so a one-query round
+	// costs no more per HIT than a direct oracle call: the round's
+	// inputs (ids, sets), outputs (labels, answers, ok) and the task
+	// closures that fill them. Each task writes only its own index,
+	// and the walk reads a round's outputs after runTasks returns and
+	// before the next round is posted.
+	ids     []dataset.ObjectID
+	sets    [][]dataset.ObjectID
+	labels  [][]int
+	answers []bool
+	ok      []bool
+	batch   []*node
+	point   func(i int, audit Oracle) error
+	reverse func(i int, audit Oracle) error
 }
 
-// pointRound posts one round of point queries. ok[i] marks answers
-// that committed; a budget exhaustion returns the committed flags with
-// ErrBudgetExhausted, any other failure aborts the round.
+// newClassifierEngine builds the walk's engine for group g.
+func newClassifierEngine(o Oracle, gov *BudgetedOracle, ctx context.Context, lockstep bool, parallelism int, g pattern.Group) *classifierEngine {
+	e := &classifierEngine{o: o, gov: gov, ctx: ctx, lockstep: lockstep, parallelism: parallelism, g: g}
+	e.point = func(i int, audit Oracle) error {
+		var err error
+		e.labels[i], err = audit.PointQuery(e.ids[i])
+		e.ok[i] = err == nil
+		return err
+	}
+	e.reverse = func(i int, audit Oracle) error {
+		var err error
+		e.answers[i], err = audit.ReverseSetQuery(e.sets[i], e.g)
+		e.ok[i] = err == nil
+		return err
+	}
+	return e
+}
+
+// roundCap bounds the queries of one speculative round: one in
+// sequential mode, the governor's headroom for the query shape in
+// lockstep mode.
+func (e *classifierEngine) roundCap(kind HITKind, setSize int) int {
+	if !e.lockstep && e.parallelism <= 1 {
+		return 1
+	}
+	return headroomOf(e.gov, kind, setSize)
+}
+
+// run posts one round of n tasks. ok[i] marks answers that committed;
+// the returned error is the round's first failure in task order.
+func (e *classifierEngine) run(n int, task func(i int, audit Oracle) error) error {
+	if cap(e.ok) < n {
+		e.ok = make([]bool, n)
+	}
+	e.ok = e.ok[:n]
+	clear(e.ok)
+	return runTasks(e.ctx, e.o, e.lockstep, e.parallelism, n, task)
+}
+
+// pointRound posts one round of point queries over ids; the labels and
+// ok flags are valid until the next round.
 func (e *classifierEngine) pointRound(ids []dataset.ObjectID) (labels [][]int, ok []bool, err error) {
-	labels = make([][]int, len(ids))
-	ok = make([]bool, len(ids))
-	err = runLockstep(e.ctx, e.o, e.parallelism, len(ids), func(i int, audit Oracle) error {
-		var qerr error
-		labels[i], qerr = audit.PointQuery(ids[i])
-		ok[i] = qerr == nil
-		return qerr
-	})
-	if err != nil && !errors.Is(err, ErrBudgetExhausted) {
-		return nil, nil, err
+	e.ids = ids
+	if cap(e.labels) < len(ids) {
+		e.labels = make([][]int, len(ids))
 	}
-	return labels, ok, err
+	e.labels = e.labels[:len(ids)]
+	err = e.run(len(ids), e.point)
+	return e.labels, e.ok, err
 }
 
-// reverseRound posts one round of reverse set queries ("is anyone here
-// NOT in g?"); see pointRound for the ok/error convention.
-func (e *classifierEngine) reverseRound(sets [][]dataset.ObjectID, g pattern.Group) (answers []bool, ok []bool, err error) {
-	answers = make([]bool, len(sets))
-	ok = make([]bool, len(sets))
-	err = runLockstep(e.ctx, e.o, e.parallelism, len(sets), func(i int, audit Oracle) error {
-		var qerr error
-		answers[i], qerr = audit.ReverseSetQuery(sets[i], g)
-		ok[i] = qerr == nil
-		return qerr
-	})
-	if err != nil && !errors.Is(err, ErrBudgetExhausted) {
-		return nil, nil, err
+// reverseRound posts one round of reverse set queries ("is anyone
+// here NOT in g?") over e.sets; see pointRound.
+func (e *classifierEngine) reverseRound() (answers []bool, ok []bool, err error) {
+	if cap(e.answers) < len(e.sets) {
+		e.answers = make([]bool, len(e.sets))
 	}
-	return answers, ok, err
-}
-
-// classifierCoverageParallel is Algorithm 4 on the batched round
-// engine; ClassifierCoverage dispatches here when opts.Lockstep or
-// opts.Parallelism > 1 (inputs already validated, defaults resolved,
-// predicted non-empty, budget governor already applied to o).
-func classifierCoverageParallel(o Oracle, gov *BudgetedOracle, ids, predicted []dataset.ObjectID, inPredicted map[dataset.ObjectID]bool, n, tau int, g pattern.Group, opts ClassifierOptions, res ClassifierResult) (ClassifierResult, error) {
-	e := &classifierEngine{o: o, gov: gov, ctx: opts.context(), parallelism: opts.Parallelism}
-
-	// Line 2-3: estimate precision on a sample of G, posted as one
-	// point-query round over exactly the objects — in exactly the order
-	// — the sequential loop would draw.
-	sampleSize := sampleBudget(opts.SampleFraction, len(predicted))
-	sample := make([]dataset.ObjectID, 0, sampleSize)
-	for _, idx := range opts.Rng.Perm(len(predicted))[:sampleSize] {
-		sample = append(sample, predicted[idx])
-	}
-	labels, oks, err := e.pointRound(sample)
-	if err != nil && !errors.Is(err, ErrBudgetExhausted) {
-		return res, err
-	}
-	sampled := make(map[dataset.ObjectID]bool, sampleSize)
-	truePos := 0
-	for i, id := range sample {
-		if !oks[i] {
-			// Budget exhausted mid-sample: commit the answered prefix
-			// and settle.
-			return classifierExhausted(res, truePos, tau), nil
-		}
-		res.SampleTasks++
-		sampled[id] = true
-		if g.Matches(labels[i]) {
-			truePos++
-		}
-	}
-	if err != nil {
-		return classifierExhausted(res, truePos, tau), nil
-	}
-	res.EstFPRate = 1 - float64(truePos)/float64(sampleSize)
-
-	// Line 4-5: eliminate false positives, one batched phase per
-	// strategy.
-	verified := 0
-	var exactClean, exhausted bool
-	if res.EstFPRate < opts.FPRateThreshold {
-		res.Strategy = StrategyPartition
-		confirmed, drained, tasks, exh, err := e.partitionCleanRounds(predicted, n, tau, g)
-		if err != nil {
-			return res, err
-		}
-		res.CleanupTasks = tasks
-		verified = confirmed
-		exactClean = drained
-		exhausted = exh
-	} else {
-		res.Strategy = StrategyLabel
-		var tasks int
-		var exh bool
-		verified, exactClean, tasks, exh, err = e.labelCleanRounds(predicted, sampled, truePos, tau, g)
-		if err != nil {
-			return res, err
-		}
-		res.CleanupTasks = tasks
-		exhausted = exh
-	}
-	if exhausted {
-		return classifierExhausted(res, verified, tau), nil
-	}
-
-	return classifierFinish(o, ids, inPredicted, n, tau, verified, exactClean, g, res)
+	e.answers = e.answers[:len(e.sets)]
+	err = e.run(len(e.sets), e.reverse)
+	return e.answers, e.ok, err
 }
 
 // labelCleanRounds is the Label function of Algorithm 5 in bounded
 // rounds: it point-labels the unsampled predicted objects, reusing the
-// sample's labels, in rounds of min(max(1, tau - verified), budget
-// headroom) queries — the confirmations still missing when the round
-// is posted, narrowed to what the remaining budget affords — and
-// commits the answers in predicted-set order. The walk mirrors the
-// sequential loop exactly: it stops at the first index where
-// verified >= tau (marking the count a bound, not exact) and discards
-// any in-flight answers past the stop, so the committed task count is
-// both width-independent and equal to the sequential engine's. A
-// budget exhaustion commits the affordable prefix and reports
-// exhausted.
-func (e *classifierEngine) labelCleanRounds(predicted []dataset.ObjectID, sampled map[dataset.ObjectID]bool, truePos, tau int, g pattern.Group) (verified int, exactClean bool, tasks int, exhausted bool, err error) {
+// sample's labels, in rounds of min(max(1, tau - verified), roundCap)
+// queries — the confirmations still missing when the round is posted,
+// narrowed to one query in sequential mode and to what the remaining
+// budget affords in lockstep mode — and commits the answers in
+// predicted-set order. It stops at the first index where verified >=
+// tau (marking the count a bound, not exact) and discards any
+// in-flight answers past the stop, so the committed task count does
+// not depend on the round width. A budget exhaustion commits the
+// affordable prefix and reports exhausted.
+func (e *classifierEngine) labelCleanRounds(predicted []dataset.ObjectID, sampled map[dataset.ObjectID]bool, truePos, tau int) (verified int, exactClean bool, tasks int, exhausted bool, err error) {
 	verified = truePos
 	exactClean = true
 	var round [][]int // uncommitted answers of the current round
@@ -200,17 +175,10 @@ func (e *classifierEngine) labelCleanRounds(predicted []dataset.ObjectID, sample
 			continue
 		}
 		if pos >= len(roundIDs) {
-			// Post the next round: the next max(1, tau - verified)
-			// unsampled objects from position i onward, clipped to the
-			// budget's point-query headroom (floored at one so an
-			// exhausted budget surfaces as a refusal, not a spin).
-			want := tau - verified
-			if h := headroomOf(e.gov, HITPoint, 1); h < want {
-				want = h
-			}
-			if want < 1 {
-				want = 1
-			}
+			// Post the next round: the next unsampled objects from
+			// position i onward, floored at one so an exhausted budget
+			// surfaces as a refusal, not a spin.
+			want := max(1, min(tau-verified, e.roundCap(HITPoint, 1)))
 			roundIDs = roundIDs[:0]
 			for j := i; j < len(predicted) && len(roundIDs) < want; j++ {
 				if !sampled[predicted[j]] {
@@ -229,7 +197,7 @@ func (e *classifierEngine) labelCleanRounds(predicted []dataset.ObjectID, sample
 		labels := round[pos]
 		pos++
 		tasks++
-		if g.Matches(labels) {
+		if e.g.Matches(labels) {
 			verified++
 		}
 	}
@@ -237,21 +205,22 @@ func (e *classifierEngine) labelCleanRounds(predicted []dataset.ObjectID, sample
 }
 
 // partitionCleanRounds is the Partition function of Algorithm 5 in
-// clipped rounds: the sequential engine's FIFO queue drives the walk,
-// but each iteration posts the front of the queue as one reverse-set
-// round. The clip takes nodes until their cumulative size reaches
-// stopAt - confirmed (posting more is pure speculation: were every
-// posted node clean, the early stop would already fire) and never more
-// queries than the budget's headroom affords, always at least one
-// node. Commit semantics are partitionClean's, verbatim: a "no"
-// confirms the range and may infer a task-free "yes" on its right
-// sibling — wherever that sibling sits, in this round (its in-flight
-// answer is discarded) or still unposted in the queue — a committed
-// walk reaching stopAt returns immediately discarding the rest of its
-// round, and a full drain makes the confirmed count exact. Round
-// composition depends only on committed answers, never on the pool
-// width.
-func (e *classifierEngine) partitionCleanRounds(predicted []dataset.ObjectID, n, stopAt int, g pattern.Group) (confirmed int, drained bool, tasks int, exhausted bool, err error) {
+// clipped rounds: it verifies the predicted-positive set with
+// divide-and-conquer reverse set queries ("is anyone here NOT in g?")
+// driven by a FIFO queue, posting the front of the queue as one round.
+// The clip takes nodes until their cumulative size reaches stopAt -
+// confirmed (posting more is pure speculation: were every posted node
+// clean, the early stop would already fire) and never more than
+// roundCap queries, always at least one node. A "no" confirms the
+// whole range as genuine members and infers a task-free "yes" on its
+// right sibling — wherever that sibling sits, in this round (its
+// in-flight answer is discarded) or still unposted in the queue; a
+// "yes" splits the range, isolating false positives in singletons. A
+// committed walk reaching stopAt returns immediately, discarding the
+// rest of its round, and a full drain makes the confirmed count exact.
+// Round composition depends only on committed answers, never on the
+// pool width.
+func (e *classifierEngine) partitionCleanRounds(predicted []dataset.ObjectID, n, stopAt int) (confirmed int, drained bool, tasks int, exhausted bool, err error) {
 	if len(predicted) == 0 {
 		return 0, true, 0, false, nil
 	}
@@ -265,23 +234,21 @@ func (e *classifierEngine) partitionCleanRounds(predicted []dataset.ObjectID, n,
 	}
 	for !q.empty() {
 		// Clip the round: enough front-of-queue nodes to reach the
-		// remaining need if all confirm, within budget headroom.
+		// remaining need if all confirm, within the round cap.
 		need := stopAt - confirmed
-		room := headroomOf(e.gov, HITReverseSet, n)
-		batch := make([]*node, 0, q.len())
+		room := e.roundCap(HITReverseSet, n)
+		batch, sets := e.batch[:0], e.sets[:0]
 		sum := 0
 		for t := q.front(); t != nil; t = q.next(t) {
 			batch = append(batch, t)
+			sets = append(sets, predicted[t.b:t.e])
 			sum += t.size()
 			if sum >= need || len(batch) >= room {
 				break
 			}
 		}
-		sets := make([][]dataset.ObjectID, len(batch))
-		for i, t := range batch {
-			sets[i] = predicted[t.b:t.e]
-		}
-		answers, oks, err := e.reverseRound(sets, g)
+		e.batch, e.sets = batch, sets
+		answers, oks, err := e.reverseRound()
 		if err != nil && !errors.Is(err, ErrBudgetExhausted) {
 			return confirmed, false, tasks, false, err
 		}
@@ -306,9 +273,9 @@ func (e *classifierEngine) partitionCleanRounds(predicted []dataset.ObjectID, n,
 				if confirmed >= stopAt {
 					return confirmed, false, tasks, false, nil
 				}
-				// Sibling inference, mirrored from partitionClean: our
-				// parent contains a false positive and we contain none,
-				// so the right sibling must.
+				// Sibling inference, mirrored: our parent contains a
+				// false positive and we contain none, so the right
+				// sibling must.
 				if t.parent != nil && t == t.parent.left {
 					sib := t.parent.right
 					if sib != nil && sib.inQueue {

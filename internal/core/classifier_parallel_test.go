@@ -230,10 +230,11 @@ func TestClassifierRetryRecoversTransientFailures(t *testing.T) {
 	}
 }
 
-// TestPartitionCleanRoundsMatchesSequential compares the level-round
-// Partition directly against the sequential partitionClean across
-// randomized compositions and stop thresholds, including stopAt values
-// beyond the set (full drain) and tiny chunk sizes.
+// TestPartitionCleanRoundsMatchesSequential compares the production
+// Partition walk, in sequential mode and in lockstep rounds, directly
+// against the reference partitionClean across randomized compositions
+// and stop thresholds, including stopAt values beyond the set (full
+// drain) and tiny chunk sizes.
 func TestPartitionCleanRoundsMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(20254))
 	for trial := 0; trial < 60; trial++ {
@@ -250,14 +251,16 @@ func TestPartitionCleanRoundsMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := &classifierEngine{o: NewTruthOracle(d), parallelism: 1 + rng.Intn(8)}
-		gotC, gotD, gotT, _, err := e.partitionCleanRounds(d.IDs(), chunk, stopAt, g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotC != wantC || gotD != wantD || gotT != wantT {
-			t.Fatalf("trial %d (N=%d f=%d chunk=%d stopAt=%d): rounds=(%d,%v,%d) sequential=(%d,%v,%d)",
-				trial, n, f, chunk, stopAt, gotC, gotD, gotT, wantC, wantD, wantT)
+		par := 1 + rng.Intn(8)
+		for _, lockstep := range []bool{false, true} {
+			gotC, gotD, gotT, err := partitionWalk(NewTruthOracle(d), lockstep, par, d.IDs(), chunk, stopAt, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotC != wantC || gotD != wantD || gotT != wantT {
+				t.Fatalf("trial %d (N=%d f=%d chunk=%d stopAt=%d lockstep=%v P=%d): walk=(%d,%v,%d) reference=(%d,%v,%d)",
+					trial, n, f, chunk, stopAt, lockstep, par, gotC, gotD, gotT, wantC, wantD, wantT)
+			}
 		}
 	}
 }

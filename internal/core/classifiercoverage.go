@@ -40,24 +40,23 @@ type ClassifierOptions struct {
 	FPRateThreshold float64
 	// Rng drives sampling; required.
 	Rng *rand.Rand
-	// Parallelism > 1 enables the batched round engine
-	// (classifier_parallel.go): the precision sample posts as one
-	// point-query round, the Label phase as bounded rounds with a
-	// deterministic early stop, and the Partition phase as one
-	// reverse-set round per tree level, each round committing to the
-	// oracle through the lockstep scheduler (runLockstep) as one
-	// canonical BatchOracle batch in issue order; Parallelism bounds
-	// the pool that lifts non-batching oracles into those batches.
-	// Zero or one keeps the sequential Algorithm 4/5 loops. Round
-	// composition never depends on Parallelism — the engine is
-	// level-synchronous by construction — so with a native BatchOracle
-	// answering in request order (the crowd Platform, TruthOracle) the
-	// full ClassifierResult is bit-identical at every Parallelism value
-	// above 1, and equals the sequential engine's exactly for
-	// order-independent oracles. The oracle must be safe for concurrent
-	// use.
+	// Parallelism > 1 runs the round walk (classifier_parallel.go) in
+	// lockstep mode: the precision sample posts as one point-query
+	// round, the Label phase as bounded rounds with a deterministic
+	// early stop, and the Partition phase as clipped reverse-set rounds,
+	// each round committing through the lockstep scheduler as one
+	// canonical BatchOracle batch in issue order; Parallelism bounds the
+	// pool that lifts non-batching oracles into those batches. Round
+	// composition never depends on Parallelism, so with a native
+	// BatchOracle answering in request order (the crowd Platform,
+	// TruthOracle) the full ClassifierResult is bit-identical at every
+	// Parallelism value above 1, and equals the sequential mode's
+	// exactly for order-independent oracles. Zero or one runs the walk
+	// in sequential mode: one query per Label and Partition round, and
+	// every query posted on its own, in the paper's order. The oracle
+	// must be safe for concurrent use.
 	Parallelism int
-	// Lockstep runs the batched round engine at Parallelism <= 1 too;
+	// Lockstep runs the walk in lockstep mode at Parallelism <= 1 too;
 	// it matters only there (see MultipleOptions.Lockstep).
 	Lockstep bool
 	// Retry re-posts transiently failing HITs (ErrTransient) instead
@@ -123,7 +122,10 @@ func (r ClassifierResult) String() string {
 // (reverse set queries, precise classifiers) or exhaustive labeling
 // (imprecise classifiers). If the verified positives already reach
 // tau the audit stops; otherwise Group-Coverage hunts the remaining
-// tau - c' false negatives in D - G.
+// tau - c' false negatives in D - G. Every phase runs on the one round
+// walk, in sequential or lockstep mode as opts selects (see
+// ClassifierOptions.Parallelism). An error ends the audit with the
+// partial result of the answers committed before it.
 func ClassifierCoverage(o Oracle, ids, predicted []dataset.ObjectID, n, tau int, g pattern.Group, opts ClassifierOptions) (ClassifierResult, error) {
 	res := ClassifierResult{Group: g, Strategy: StrategyNone}
 	if o == nil {
@@ -164,8 +166,8 @@ func ClassifierCoverage(o Oracle, ids, predicted []dataset.ObjectID, n, tau int,
 	// retry layer: a retried HIT is a re-posted HIT and charges the
 	// budget again, while an exhaustion refusal is not transient and
 	// never retries. Transient-failure handling wraps once per audit (a
-	// no-op when the policy is disabled); every phase of either engine
-	// — and the residual hunt — retries through it.
+	// no-op when the policy is disabled); every phase of the walk —
+	// and the residual hunt — retries through it.
 	ctx := opts.context()
 	if err := ctx.Err(); err != nil {
 		return res, err
@@ -188,72 +190,54 @@ func ClassifierCoverage(o Oracle, ids, predicted []dataset.ObjectID, n, tau int,
 		return res, nil
 	}
 
-	if opts.Lockstep || opts.Parallelism > 1 {
-		return classifierCoverageParallel(o, gov, ids, predicted, inPredicted, n, tau, g, opts, res)
-	}
+	e := newClassifierEngine(o, gov, ctx, opts.Lockstep, opts.Parallelism, g)
 
-	// Line 2-3: estimate precision on a sample of G.
+	// Line 2-3: estimate precision on a sample of G, posted as one
+	// point-query round in Rng.Perm draw order.
 	sampleSize := sampleBudget(opts.SampleFraction, len(predicted))
+	sample := make([]dataset.ObjectID, sampleSize)
+	for i, idx := range opts.Rng.Perm(len(predicted))[:sampleSize] {
+		sample[i] = predicted[idx]
+	}
+	labels, oks, err := e.pointRound(sample)
 	sampled := make(map[dataset.ObjectID]bool, sampleSize)
 	truePos := 0
-	for _, idx := range opts.Rng.Perm(len(predicted))[:sampleSize] {
-		id := predicted[idx]
-		labels, err := o.PointQuery(id)
-		if err != nil {
-			if errors.Is(err, ErrBudgetExhausted) {
-				return classifierExhausted(res, truePos, tau), nil
-			}
-			return res, err
+	for i, id := range sample {
+		if !oks[i] {
+			break // the round failed here: settle on the answered prefix
 		}
 		res.SampleTasks++
 		sampled[id] = true
-		if g.Matches(labels) {
+		if g.Matches(labels[i]) {
 			truePos++
 		}
+	}
+	if err != nil {
+		if errors.Is(err, ErrBudgetExhausted) {
+			return classifierExhausted(res, truePos, tau), nil
+		}
+		return res, err
 	}
 	res.EstFPRate = 1 - float64(truePos)/float64(sampleSize)
 
 	// Line 4-5: eliminate false positives.
-	verified := 0
-	var exactClean bool
+	var (
+		verified, tasks       int
+		exactClean, exhausted bool
+	)
 	if res.EstFPRate < opts.FPRateThreshold {
 		res.Strategy = StrategyPartition
-		confirmed, drained, tasks, err := partitionClean(o, predicted, n, tau, g)
-		res.CleanupTasks = tasks
-		if err != nil {
-			if errors.Is(err, ErrBudgetExhausted) {
-				return classifierExhausted(res, confirmed, tau), nil
-			}
-			return res, err
-		}
-		verified = confirmed
-		exactClean = drained
+		verified, exactClean, tasks, exhausted, err = e.partitionCleanRounds(predicted, n, tau)
 	} else {
 		res.Strategy = StrategyLabel
-		// Algorithm 5 Label: point-label G, reusing the sample's
-		// labels, stopping early at tau verified members.
-		verified = truePos
-		exactClean = true
-		for _, id := range predicted {
-			if verified >= tau {
-				exactClean = false // stopped early: count is a bound
-				break
-			}
-			if sampled[id] {
-				continue
-			}
-			labels, err := o.PointQuery(id)
-			if err != nil {
-				if errors.Is(err, ErrBudgetExhausted) {
-					return classifierExhausted(res, verified, tau), nil
-				}
-				return res, err
-			}
-			res.CleanupTasks++
-			if g.Matches(labels) {
-				verified++
-			}
-		}
+		verified, exactClean, tasks, exhausted, err = e.labelCleanRounds(predicted, sampled, truePos, tau)
+	}
+	res.CleanupTasks = tasks
+	if err != nil {
+		return res, err
+	}
+	if exhausted {
+		return classifierExhausted(res, verified, tau), nil
 	}
 
 	return classifierFinish(o, ids, inPredicted, n, tau, verified, exactClean, g, res)
@@ -271,8 +255,7 @@ func classifierExhausted(res ClassifierResult, verified, tau int) ClassifierResu
 }
 
 // sampleBudget sizes the precision sample: ceil(fraction * |G|),
-// clamped into [1, |G|]. Both engines share it so their samples are
-// identical.
+// clamped into [1, |G|].
 func sampleBudget(fraction float64, predicted int) int {
 	size := int(math.Ceil(fraction * float64(predicted)))
 	if size < 1 {
@@ -284,13 +267,11 @@ func sampleBudget(fraction float64, predicted int) int {
 	return size
 }
 
-// classifierFinish is lines 6-7 of Algorithm 4, shared by the
-// sequential and the batched engine so their settle logic cannot drift
-// apart: enough verified positives end the audit; otherwise
-// Group-Coverage hunts the remaining tau - verified false negatives in
-// D - G. The residual search is a single adaptive query chain (each
-// set query depends on the previous answer), so both engines run it
-// sequentially.
+// classifierFinish is lines 6-7 of Algorithm 4: enough verified
+// positives end the audit; otherwise Group-Coverage hunts the
+// remaining tau - verified false negatives in D - G. The residual
+// search is a single adaptive query chain (each set query depends on
+// the previous answer), so it runs sequentially in either mode.
 func classifierFinish(o Oracle, ids []dataset.ObjectID, inPredicted map[dataset.ObjectID]bool, n, tau, verified int, exactClean bool, g pattern.Group, res ClassifierResult) (ClassifierResult, error) {
 	// Line 6: enough verified positives end the audit.
 	if verified >= tau {
@@ -318,64 +299,4 @@ func classifierFinish(o Oracle, ids []dataset.ObjectID, inPredicted map[dataset.
 	res.Exhausted = gc.Exhausted
 	res.Tasks = res.SampleTasks + res.CleanupTasks + res.ResidualTasks
 	return res, nil
-}
-
-// partitionClean is the Partition function of Algorithm 5: it verifies
-// the predicted-positive set with divide-and-conquer reverse set
-// queries ("is anyone here NOT in g?"). A "no" confirms the whole
-// subset as genuine members; a "yes" splits it, isolating false
-// positives in singletons. A "no" on a left child implies — task-free —
-// a "yes" on its right sibling. It stops early once stopAt members are
-// confirmed, and reports whether it drained the whole set (making the
-// confirmed count exact).
-func partitionClean(o Oracle, predicted []dataset.ObjectID, n, stopAt int, g pattern.Group) (confirmed int, drained bool, tasks int, err error) {
-	if len(predicted) == 0 {
-		return 0, true, 0, nil
-	}
-	q := newQueue()
-	for i := 0; i < len(predicted); i += n {
-		end := i + n
-		if end > len(predicted) {
-			end = len(predicted)
-		}
-		q.push(&node{b: i, e: end})
-	}
-	for !q.empty() {
-		t := q.pop()
-		hasFP, err := o.ReverseSetQuery(predicted[t.b:t.e], g)
-		if err != nil {
-			return confirmed, false, tasks, err
-		}
-		tasks++
-
-	process:
-		if !hasFP {
-			// The whole range is verified members of g.
-			confirmed += t.size()
-			if confirmed >= stopAt {
-				return confirmed, false, tasks, nil
-			}
-			// Sibling inference, mirrored: our parent contains a false
-			// positive and we contain none, so the right sibling must.
-			if t.parent != nil && t == t.parent.left {
-				sib := t.parent.right
-				if sib != nil && sib.inQueue {
-					q.remove(sib)
-					t = sib
-					hasFP = true
-					goto process
-				}
-			}
-			continue
-		}
-		if t.size() == 1 {
-			continue // isolated false positive: discard
-		}
-		mid := (t.b + t.e) / 2
-		t.left = &node{b: t.b, e: mid, parent: t}
-		t.right = &node{b: mid, e: t.e, parent: t}
-		q.push(t.left)
-		q.push(t.right)
-	}
-	return confirmed, true, tasks, nil
 }

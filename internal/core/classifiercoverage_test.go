@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -211,11 +213,36 @@ func TestClassifierCoveragePropagatesErrors(t *testing.T) {
 	if _, err := ClassifierCoverage(flaky, d.IDs(), predicted, 10, 15, g, ClassifierOptions{Rng: rng}); err == nil {
 		t.Error("want propagated transient error")
 	}
+
+	// At width 1 a hard error returns the partial result of the queries
+	// answered before it, in whichever phase it strikes: the sample
+	// (3 queries), the Partition walk or the Label walk.
+	for _, c := range []struct {
+		phase          string
+		tp, fp, failAt int
+		want           string
+	}{
+		{"sample", 20, 5, 2, "{Group:female Covered:false Count:0 Exact:false Strategy:none Exhausted:false EstFPRate:0 SampleTasks:1 CleanupTasks:0 ResidualTasks:0 Tasks:0}"},
+		{"partition", 20, 1, 5, "{Group:female Covered:false Count:0 Exact:false Strategy:partition Exhausted:false EstFPRate:0 SampleTasks:3 CleanupTasks:1 ResidualTasks:0 Tasks:0}"},
+		{"label", 5, 20, 6, "{Group:female Covered:false Count:0 Exact:false Strategy:label Exhausted:false EstFPRate:0.6666666666666667 SampleTasks:3 CleanupTasks:2 ResidualTasks:0 Tasks:0}"},
+	} {
+		flaky := &FlakyOracle{Inner: NewTruthOracle(d), FailEvery: c.failAt}
+		res, err := ClassifierCoverage(flaky, d.IDs(), predictedSet(d, c.tp, c.fp), 10, 15, g,
+			ClassifierOptions{Rng: rand.New(rand.NewSource(71))})
+		if !errors.Is(err, ErrTransient) {
+			t.Errorf("%s: err = %v, want the transient failure", c.phase, err)
+		}
+		type fields ClassifierResult // every field, not String()
+		if got := fmt.Sprintf("%+v", fields(res)); got != c.want {
+			t.Errorf("%s: partial result\n%s\nwant\n%s", c.phase, got, c.want)
+		}
+	}
 }
 
 func TestPartitionCleanExactWhenDrained(t *testing.T) {
-	// Without early stop (stopAt beyond |G|), partitionClean must
-	// isolate every false positive and report an exact confirmed count.
+	// Without early stop (stopAt beyond |G|), the sequential Partition
+	// walk must isolate every false positive and report an exact
+	// confirmed count.
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 40; trial++ {
 		n := 1 + rng.Intn(300)
@@ -226,7 +253,7 @@ func TestPartitionCleanExactWhenDrained(t *testing.T) {
 		}
 		g := dataset.Female(d.Schema())
 		o := NewTruthOracle(d)
-		confirmed, drained, tasks, err := partitionClean(o, d.IDs(), 1+rng.Intn(64), n+1, g)
+		confirmed, drained, tasks, err := partitionWalk(o, false, 1, d.IDs(), 1+rng.Intn(64), n+1, g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +274,7 @@ func TestPartitionCleanEarlyStop(t *testing.T) {
 	d, _ := dataset.BinaryWithMinority(500, 450, rng)
 	g := dataset.Female(d.Schema())
 	o := NewTruthOracle(d)
-	confirmed, drained, tasks, err := partitionClean(o, d.IDs(), 50, 50, g)
+	confirmed, drained, tasks, err := partitionWalk(o, false, 1, d.IDs(), 50, 50, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +284,7 @@ func TestPartitionCleanEarlyStop(t *testing.T) {
 	if drained {
 		t.Error("early stop must not claim a full drain")
 	}
-	full, _, fullTasks, err := partitionClean(o, d.IDs(), 50, 501, g)
+	full, _, fullTasks, err := partitionWalk(o, false, 1, d.IDs(), 50, 501, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +299,7 @@ func TestPartitionCleanEarlyStop(t *testing.T) {
 func TestPartitionCleanEmpty(t *testing.T) {
 	d := binaryDataset(t, []int{1})
 	o := NewTruthOracle(d)
-	confirmed, drained, tasks, err := partitionClean(o, nil, 10, 5, female(d))
+	confirmed, drained, tasks, err := partitionWalk(o, false, 1, nil, 10, 5, female(d))
 	if err != nil || confirmed != 0 || !drained || tasks != 0 {
 		t.Errorf("empty partition = (%d,%v,%d,%v)", confirmed, drained, tasks, err)
 	}

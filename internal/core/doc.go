@@ -50,20 +50,27 @@
 //     canonical (super-group, member, query-sequence) order, so even
 //     order-dependent oracles produce bit-identical verdicts, task
 //     counts and spend at every Parallelism value.
-//   - ClassifierOptions.Parallelism (classifier_parallel.go)
-//     bring Classifier-Coverage under the same contract: the precision
-//     sample posts as one point-query round, the Label phase as
-//     bounded rounds of max(1, tau - verified) point queries whose
-//     answers commit in predicted-set order with a deterministic early
-//     stop (stop at the first index where verified >= tau, discard
-//     later in-flight answers), and the Partition phase as one
-//     reverse-set round per tree level with the sequential sibling
-//     inference applied at commit time. Round composition is a pure
-//     function of committed answers — never of the pool width.
+//   - Classifier-Coverage (classifier_parallel.go) is one round walk
+//     with two modes, and runTasks (lockstep.go) picks between them
+//     for it and for the Intersectional resolution phase. In lockstep
+//     mode (Lockstep, or Parallelism > 1) it comes under the same
+//     contract: the precision sample posts as one point-query round,
+//     the Label phase as bounded rounds of max(1, tau - verified)
+//     point queries whose answers commit in predicted-set order with a
+//     deterministic early stop (stop at the first index where verified
+//     >= tau, discard later in-flight answers), and the Partition
+//     phase as clipped reverse-set rounds with the sibling inference
+//     applied at commit time. Round composition is a pure function of
+//     committed answers — never of the pool width. In sequential mode
+//     (Parallelism <= 1) the same walk posts one query per Label and
+//     Partition round and every query on its own, in the paper's
+//     order.
 //
 // The determinism contract rests on two engines: the sequential
 // reference (Parallelism <= 1) and lockstep rounds (Parallelism > 1;
-// the Lockstep options pick rounds at width 1 too). By oracle kind:
+// the Lockstep options pick rounds at width 1 too). For
+// Classifier-Coverage the two engines are the two modes of one walk.
+// By oracle kind:
 //
 //   - order-independent oracles (TruthOracle, stateless crowd bridges,
 //     anything whose answer is a function of the request alone):

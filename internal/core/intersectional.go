@@ -120,8 +120,9 @@ func IntersectionalCoverage(o Oracle, ids []dataset.ObjectID, n, tau int, s *pat
 		res.Verdicts[p.Key()] = v
 	}
 	// The re-audits share one retry wrapper, like the leaf audits, and
-	// run in lockstep rounds (or one after another on the sequential
-	// engine), with pattern-universe order as the canonical task order.
+	// runTasks runs them in lockstep rounds (or one after another on
+	// the sequential engine), with pattern-universe order as the
+	// canonical task order.
 	resolve := func(i int, audit Oracle) error {
 		r := &unresolved[i]
 		var e error
@@ -130,16 +131,7 @@ func IntersectionalCoverage(o Oracle, ids []dataset.ObjectID, n, tau int, s *pat
 	}
 	ctx := opts.context()
 	audit := withRetry(ctx, o, opts.Retry, opts.Rng, opts.Parallelism)
-	if opts.Lockstep || opts.Parallelism > 1 {
-		err = runLockstep(ctx, audit, opts.Parallelism, len(unresolved), resolve)
-	} else {
-		for i := 0; i < len(unresolved) && err == nil; i++ {
-			if err = ctx.Err(); err == nil {
-				err = resolve(i, audit)
-			}
-		}
-	}
-	if err != nil {
+	if err := runTasks(ctx, audit, opts.Lockstep, opts.Parallelism, len(unresolved), resolve); err != nil {
 		return nil, err
 	}
 	// Settle in universe order, so task accounting and verdicts are

@@ -304,6 +304,25 @@ func runLockstep(ctx context.Context, o Oracle, parallelism, n int, fn func(i in
 	return firstError(errs)
 }
 
+// runTasks runs fn for every task in [0, n): in lockstep rounds
+// (runLockstep) when lockstep is set or parallelism > 1, otherwise one
+// after another in index order through o itself, checking ctx before
+// each task and stopping at the first error.
+func runTasks(ctx context.Context, o Oracle, lockstep bool, parallelism, n int, fn func(i int, audit Oracle) error) error {
+	if lockstep || parallelism > 1 {
+		return runLockstep(ctx, o, parallelism, n, fn)
+	}
+	for i := 0; i < n; i++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := fn(i, o); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // DelayOracle adds a fixed per-query wall-clock delay in front of an
 // oracle, modeling what dominates a real deployment: every HIT takes
 // time to come back from the crowd. It deliberately does NOT implement

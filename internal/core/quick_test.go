@@ -158,7 +158,7 @@ func TestQuickPartitionCleanCount(t *testing.T) {
 			return false
 		}
 		g := dataset.Female(d.Schema())
-		confirmed, drained, _, err := partitionClean(NewTruthOracle(d), d.IDs(), setSize, n+1, g)
+		confirmed, drained, _, err := partitionWalk(NewTruthOracle(d), false, 1, d.IDs(), setSize, n+1, g)
 		return err == nil && drained && confirmed == fem
 	}
 	cfg := &quick.Config{MaxCount: 50}

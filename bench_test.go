@@ -135,8 +135,8 @@ func BenchmarkLockstepLatency(b *testing.B) { benchExperiment(b, "lockstep-laten
 
 // BenchmarkJournalOverhead regenerates the checkpoint-cost comparison:
 // the same latency-bound lockstep workload bare vs through the fsynced
-// round journal. Crash-safety should cost one JSON encode plus one
-// fsync per committed round — a few percent, not a multiple — and the
+// round journal. Crash-safety should cost one binary encode plus one
+// fdatasync per committed round — a few percent, not a multiple — and the
 // CI regression gate tracks the record in BENCH_core.json.
 func BenchmarkJournalOverhead(b *testing.B) { benchExperiment(b, "journal-overhead") }
 

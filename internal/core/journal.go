@@ -36,8 +36,12 @@ const (
 // sampling round, each canonical lockstep round's set and point
 // batches, and the single-query rounds of sequential phases — is one
 // record, so the record sequence is a pure function of committed
-// answers and replays exactly. All fields are JSON-serializable for
-// the file codec in internal/journal.
+// answers and replays exactly. The file codec in internal/journal
+// stores each record in a compact binary frame that keeps every field
+// exactly, nil and empty label vectors apart; the JSON tags serve
+// only the first codec version, which it still reads. A decoded record
+// may share backing arrays with the other records of its journal, so
+// replay treats records as read-only.
 type RoundRecord struct {
 	// Round is the record's index in the journal, counted from 0.
 	Round int `json:"round"`
@@ -62,12 +66,13 @@ type RoundRecord struct {
 // empty round never journals, so a record is exactly one kind).
 func (r RoundRecord) IsPointRound() bool { return r.Points != nil }
 
-// RoundJournal persists committed rounds. Append is called under the
-// journaling middleware's round lock — sequentially, after the round's
-// answers are in hand — and must make the record durable before
-// returning (the file codec fsyncs per append). An Append error fails
-// the audit loudly: continuing would commit paid HITs that a crash
-// could no longer recover.
+// RoundJournal persists committed rounds, one record per round.
+// Append is called under the journaling middleware's round lock —
+// sequentially, after the round's answers are in hand — and must make
+// the record durable before returning (the file codec writes one frame
+// and fdatasyncs it). An Append error fails the audit loudly:
+// continuing would commit paid HITs that a crash could no longer
+// recover.
 type RoundJournal interface {
 	Append(RoundRecord) error
 }

@@ -1,36 +1,69 @@
 // Package journal is the crash-safe file codec behind audit
-// checkpoint/resume: one append-only file holds the committed rounds
-// of a single audit as length-prefixed, checksummed JSON frames, made
-// durable with an fsync per append — the RoundJournal the core
-// journaling middleware writes through, and the replay source a
-// resumed job loads.
+// checkpoint/resume: one file holds the committed rounds of a single
+// audit as length-prefixed, checksummed frames, each durable before
+// its append returns — the RoundJournal the core journaling middleware
+// writes through, and the replay source a resumed job loads.
 //
-// The file layout is an 8-byte magic ("CVGJNL01") followed by frames
-// of
+// # Layout
+//
+// A journal is an 8-byte magic ("CVGJNL02") followed by frames of
 //
 //	uint32 LE payload length | uint32 LE CRC-32 (IEEE) of payload | payload
 //
-// where the payload is one JSON-encoded core.RoundRecord. Records are
-// self-indexing (RoundRecord.Round), so Load verifies the sequence is
-// gapless from 0.
+// where the payload is one core.RoundRecord in the compact binary
+// encoding of codec.go: varints, a round-kind and an err-kind byte,
+// the governor's spend as float64 bits, set answers as bits. Records
+// are self-indexing (RoundRecord.Round), so Load verifies the sequence
+// is gapless from 0.
 //
-// Recovery draws a hard line between a torn tail and corruption. A
-// crash mid-append leaves a final frame whose header or payload is
-// incomplete, or whose checksum does not match — Load drops exactly
-// that frame and returns every complete round before it, and Open
-// additionally truncates the file back to the last complete round so
-// appending resumes cleanly. A crash inside Create can likewise leave
-// a torn header — a zero-length file or a strict prefix of the magic
-// — which both treat as an empty journal (resume from round 0); Open
-// rewrites the header before accepting appends. Anything else — a checksum mismatch with
-// more bytes behind it, undecodable JSON, out-of-sequence round
-// numbers, a bad magic — is corruption, and Load fails loudly with
-// ErrCorrupt: silently replaying a damaged journal would fabricate
-// crowd answers.
+// # Preallocation and sync
+//
+// The file grows in preallocated 1 MiB extents of zeros (fallocate),
+// and every growth is followed by one full fsync, which makes the new
+// size durable. An append is then one write at the end of the last
+// frame, inside the extent, plus fdatasync. fdatasync is enough: it
+// flushes the frame's data and every piece of metadata needed to read
+// it back — including the file size whenever a write extends it — and
+// skips only what recovery never reads, such as timestamps. Where the
+// file system cannot preallocate, or off Linux, the journal skips
+// preallocation and each append extends the file, which fdatasync (a
+// full fsync off Linux) then covers: a cost in speed, not in
+// durability. Close truncates the file back to its last frame, so a
+// cleanly closed journal is still the magic plus its frames; a journal
+// that was never closed ends in zeros.
+//
+// # Recovery
+//
+// Recovery draws a hard line between a torn tail and corruption:
+//
+//   - A zero length field followed only by zero bytes is the end of the
+//     log: the unused rest of a preallocated extent.
+//   - A crash mid-append leaves a final frame whose header or payload is
+//     incomplete, or which fails its checksum with nothing but zeros
+//     after it. That is a torn tail: Load drops exactly that frame and
+//     returns every complete round before it, and Open truncates the
+//     file back to the last complete round, preallocating again before
+//     it accepts appends.
+//   - A crash inside Create can leave a torn header — a zero-length file
+//     or a strict prefix of the magic — which both treat as an empty
+//     journal (resume from round 0); Open rewrites the header.
+//   - Anything else is corruption, and Load fails loudly with
+//     ErrCorrupt: a checksum mismatch or a zeroed frame header with any
+//     nonzero byte behind it, an undecodable payload, out-of-sequence
+//     round numbers, a bad magic. Silently replaying a damaged journal
+//     would fabricate crowd answers.
+//
+// # Version 1
+//
+// The first codec version, "CVGJNL01", framed JSON-encoded records the
+// same way, without preallocation. Load still reads it, with the same
+// recovery rules. Open rewrites a CVGJNL01 journal as CVGJNL02 before
+// appending — to a temporary file that is synced, renamed over the
+// original, and made durable with a directory fsync — so only the
+// version-2 writer ever appends.
 package journal
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -38,13 +71,20 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 
 	"imagecvg/internal/core"
 )
 
-// magic identifies a journal file and its codec version.
-const magic = "CVGJNL01"
+// magic identifies a journal file of the current codec version;
+// magicV1 the JSON codec it replaced.
+const (
+	magic   = "CVGJNL02"
+	magicV1 = "CVGJNL01"
+)
 
 // frameHeaderSize is the per-frame overhead: payload length + CRC.
 const frameHeaderSize = 8
@@ -52,6 +92,9 @@ const frameHeaderSize = 8
 // maxFrameSize bounds one record's encoding; a length field above it
 // is treated as corruption rather than an attempted allocation.
 const maxFrameSize = 64 << 20
+
+// extent is the preallocation unit.
+const extent = 1 << 20
 
 // ErrCorrupt marks a journal Load refuses to replay: damage beyond a
 // torn tail (mid-file checksum mismatch, undecodable record,
@@ -62,159 +105,317 @@ var ErrCorrupt = errors.New("journal: corrupt journal file")
 // core.RoundJournal. Safe for concurrent use, though the core
 // middleware already serializes rounds.
 type Journal struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
-	next int // expected Round of the next append
+	mu       sync.Mutex
+	f        *os.File
+	path     string
+	next     int    // expected Round of the next append
+	end      int64  // offset just past the last frame
+	size     int64  // the file's size: end plus the preallocated zeros
+	prealloc bool   // false once the file system refused fallocate
+	buf      []byte // the frame encoding buffer, reused by every append
 }
 
 // Create starts a fresh journal at path, truncating any existing file,
-// and syncs the header before returning.
+// and makes the header and the file's directory entry durable before
+// returning.
 func Create(path string) (*Journal, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("journal: create %s: %w", path, err)
 	}
-	if _, err := f.Write([]byte(magic)); err != nil {
+	j := &Journal{f: f, path: path, prealloc: true}
+	if err := j.start(0); err != nil {
 		f.Close()
-		return nil, fmt.Errorf("journal: write header: %w", err)
+		return nil, err
 	}
-	if err := f.Sync(); err != nil {
+	if err := SyncDir(filepath.Dir(path)); err != nil {
 		f.Close()
-		return nil, fmt.Errorf("journal: sync header: %w", err)
+		return nil, fmt.Errorf("journal: sync directory of %s: %w", path, err)
 	}
-	return &Journal{f: f, path: path}, nil
+	return j, nil
 }
 
 // Open loads an existing journal for resumption: it returns the
 // complete rounds on disk (the replay records for the resumed run),
 // truncates a torn tail left by a crash, and positions the journal to
-// append the next round. Corruption beyond a torn tail fails with
-// ErrCorrupt.
+// append the next round. A CVGJNL01 journal is first rewritten as
+// CVGJNL02. Corruption beyond a torn tail fails with ErrCorrupt.
 func Open(path string) (*Journal, []core.RoundRecord, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("journal: open %s: %w", path, err)
 	}
-	recs, validEnd, err := readAll(f)
+	data, err := readFile(f)
 	if err != nil {
 		f.Close()
 		return nil, nil, err
 	}
-	// A torn header (crash inside Create before the magic was durable)
-	// reads as an empty journal with validEnd 0: rewrite the header so
-	// appends land on a well-formed file.
-	if validEnd < int64(len(magic)) {
-		if terr := f.Truncate(0); terr != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("journal: truncate torn header of %s: %w", path, terr)
-		}
-		if _, werr := f.WriteAt([]byte(magic), 0); werr != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("journal: rewrite header of %s: %w", path, werr)
-		}
-		if serr := f.Sync(); serr != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("journal: sync header of %s: %w", path, serr)
-		}
-		validEnd = int64(len(magic))
-	}
-	// Drop the torn tail, if any, so appends extend the last complete
-	// round.
-	if fi, serr := f.Stat(); serr == nil && fi.Size() > validEnd {
-		if terr := f.Truncate(validEnd); terr != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("journal: truncate torn tail of %s: %w", path, terr)
-		}
-		if serr := f.Sync(); serr != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("journal: sync after truncate: %w", serr)
-		}
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
+	recs, validEnd, err := parse(data)
+	if err != nil {
 		f.Close()
-		return nil, nil, fmt.Errorf("journal: seek %s: %w", path, err)
+		return nil, nil, err
 	}
-	return &Journal{f: f, path: path, next: len(recs)}, recs, nil
+	if validEnd > 0 && string(data[:len(magicV1)]) == magicV1 {
+		fi, err := f.Stat()
+		f.Close()
+		if err != nil {
+			return nil, nil, fmt.Errorf("journal: open %s: %w", path, err)
+		}
+		j, err := upgrade(path, fi.Mode().Perm(), recs)
+		if err != nil {
+			return nil, nil, err
+		}
+		return j, recs, nil
+	}
+	j := &Journal{f: f, path: path, next: len(recs), end: validEnd, prealloc: true}
+	if err := j.start(int64(len(data))); err != nil {
+		f.Close()
+		return nil, nil, err
+	}
+	return j, recs, nil
+}
+
+// upgrade rewrites a CVGJNL01 journal's complete records as a CVGJNL02
+// journal at path, through a synced temporary file renamed over it
+// with the original's permissions, and returns the new journal open
+// for appends.
+func upgrade(path string, perm os.FileMode, recs []core.RoundRecord) (*Journal, error) {
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, filepath.Base(path)+".v2-*")
+	if err != nil {
+		return nil, fmt.Errorf("journal: upgrade %s: %w", path, err)
+	}
+	j := &Journal{f: f, path: path, next: len(recs), prealloc: true}
+	err = f.Chmod(perm)
+	if err == nil {
+		err = j.writeFrames(recs)
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err == nil {
+		err = SyncDir(dir)
+	}
+	if err != nil {
+		f.Close()
+		os.Remove(f.Name())
+		return nil, fmt.Errorf("journal: upgrade %s: %w", path, err)
+	}
+	return j, nil
+}
+
+// writeFrames writes the magic and recs' frames to the journal's
+// empty file, then readies it for appends.
+func (j *Journal) writeFrames(recs []core.RoundRecord) error {
+	buf := []byte(magic)
+	for _, rec := range recs {
+		var err error
+		if buf, err = appendFrame(buf, rec); err != nil {
+			return err
+		}
+	}
+	if _, err := j.f.WriteAt(buf, 0); err != nil {
+		return err
+	}
+	j.end = int64(len(buf))
+	return j.start(j.end)
+}
+
+// start readies the file for appends once its first j.end bytes hold
+// the journal to keep, size being the file's current size: it cuts
+// everything past j.end (a torn tail, or the unused zeros of an
+// extent), writes the magic into a file without a whole header,
+// preallocates and syncs.
+func (j *Journal) start(size int64) error {
+	if size > j.end {
+		if err := j.f.Truncate(j.end); err != nil {
+			return fmt.Errorf("journal: truncate %s to its last round: %w", j.path, err)
+		}
+	}
+	if j.end < int64(len(magic)) {
+		// A torn header (crash inside Create before the magic was
+		// durable) or a new file.
+		if _, err := j.f.WriteAt([]byte(magic), 0); err != nil {
+			return fmt.Errorf("journal: write header of %s: %w", j.path, err)
+		}
+		j.end = int64(len(magic))
+	}
+	j.size = j.end
+	if err := j.grow(0); err != nil {
+		return fmt.Errorf("journal: preallocate %s: %w", j.path, err)
+	}
+	return nil
+}
+
+// grow preallocates whole extents past the next n bytes after j.end,
+// then fsyncs the file, making the new size durable. Without
+// preallocation it only syncs.
+func (j *Journal) grow(n int64) error {
+	if j.prealloc {
+		size := (j.end+n)/extent*extent + extent
+		ok, err := fallocate(j.f, j.size, size-j.size)
+		if err != nil {
+			return err
+		}
+		if ok {
+			j.size = size
+		} else {
+			j.prealloc = false
+		}
+	}
+	return j.f.Sync()
 }
 
 // Load reads the complete rounds of the journal at path without
-// opening it for appends (torn tails are skipped, not truncated).
+// opening it for appends (torn tails are skipped, not truncated, and a
+// CVGJNL01 journal is read as it is).
 func Load(path string) ([]core.RoundRecord, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("journal: open %s: %w", path, err)
 	}
 	defer f.Close()
-	recs, _, err := readAll(f)
+	data, err := readFile(f)
+	if err != nil {
+		return nil, err
+	}
+	recs, _, err := parse(data)
 	return recs, err
 }
 
-// readAll decodes every complete frame, returning the records and the
-// byte offset just past the last complete frame. A torn tail — an
-// incomplete final frame, or a final frame failing its checksum — ends
-// the read at the preceding round; any other damage is ErrCorrupt.
-func readAll(f *os.File) ([]core.RoundRecord, int64, error) {
-	data, err := io.ReadAll(f)
+// readFile reads the whole of f.
+func readFile(f *os.File) ([]byte, error) {
+	fi, err := f.Stat()
 	if err != nil {
-		return nil, 0, fmt.Errorf("journal: read: %w", err)
+		return nil, fmt.Errorf("journal: read: %w", err)
 	}
+	data := make([]byte, fi.Size())
+	if _, err := io.ReadFull(f, data); err != nil {
+		return nil, fmt.Errorf("journal: read: %w", err)
+	}
+	return data, nil
+}
+
+// parse decodes every complete frame of a journal's bytes, returning
+// the records and the offset just past the last complete frame (0 for
+// a torn header).
+func parse(data []byte) ([]core.RoundRecord, int64, error) {
 	if len(data) < len(magic) {
 		// A zero-length file, or any strict prefix of the magic, is the
 		// torn header a crash inside Create leaves behind — an empty
-		// journal (resume from round 0), not corruption. validEnd 0
-		// tells Open to rewrite the header. Content that diverges from
-		// the magic is a different file format, and stays loud.
-		if bytes.Equal(data, []byte(magic)[:len(data)]) {
+		// journal (resume from round 0), not corruption. Content that
+		// diverges from the magic is a different file format, and
+		// stays loud.
+		if strings.HasPrefix(magic, string(data)) || strings.HasPrefix(magicV1, string(data)) {
 			return nil, 0, nil
 		}
 		return nil, 0, fmt.Errorf("%w: missing or wrong magic", ErrCorrupt)
 	}
-	if !bytes.Equal(data[:len(magic)], []byte(magic)) {
+	var decode func([]byte) (core.RoundRecord, error)
+	switch string(data[:len(magic)]) {
+	case magic:
+		decode = (&decoder{}).decode
+	case magicV1:
+		decode = decodeJSON
+	default:
 		return nil, 0, fmt.Errorf("%w: missing or wrong magic", ErrCorrupt)
 	}
-	var recs []core.RoundRecord
+	n, end, err := scanFrames(data)
+	if err != nil {
+		return nil, 0, err
+	}
+	recs := make([]core.RoundRecord, n)
 	off := int64(len(magic))
-	rest := data[len(magic):]
-	for len(rest) > 0 {
+	for i := range recs {
+		length := int64(binary.LittleEndian.Uint32(data[off:]))
+		rec, err := decode(data[off+frameHeaderSize : off+frameHeaderSize+length])
+		if err != nil {
+			return nil, 0, fmt.Errorf("%w: undecodable record at offset %d: %v", ErrCorrupt, off, err)
+		}
+		if rec.Round != i {
+			return nil, 0, fmt.Errorf("%w: record at offset %d has round %d, want %d",
+				ErrCorrupt, off, rec.Round, i)
+		}
+		recs[i] = rec
+		off += frameHeaderSize + length
+	}
+	return recs, end, nil
+}
+
+// scanFrames walks the frames after the magic, checking each one's
+// checksum, and returns how many are complete and the offset just past
+// the last of them. The walk ends at the end of the log (a zeroed
+// header with only zeros behind it) or at a torn tail; any other
+// damage is ErrCorrupt.
+func scanFrames(data []byte) (int, int64, error) {
+	n, off := 0, len(magic)
+	for off < len(data) {
+		rest := data[off:]
 		if len(rest) < frameHeaderSize {
-			return recs, off, nil // torn tail: header incomplete
+			break // end of log, or torn tail: header incomplete
 		}
 		length := binary.LittleEndian.Uint32(rest[0:4])
 		sum := binary.LittleEndian.Uint32(rest[4:8])
 		if length > maxFrameSize {
-			return nil, 0, fmt.Errorf("%w: frame at offset %d declares %d bytes", ErrCorrupt, off, length)
+			return 0, 0, fmt.Errorf("%w: frame at offset %d declares %d bytes", ErrCorrupt, off, length)
 		}
 		if uint32(len(rest)-frameHeaderSize) < length {
-			return recs, off, nil // torn tail: payload incomplete
+			break // torn tail: payload incomplete
 		}
-		payload := rest[frameHeaderSize : frameHeaderSize+int(length)]
-		final := len(rest) == frameHeaderSize+int(length)
-		if crc32.ChecksumIEEE(payload) != sum {
-			if final {
-				return recs, off, nil // torn tail: final frame half-written
+		frame := rest[:frameHeaderSize+int(length)]
+		if length == 0 || crc32.ChecksumIEEE(frame[frameHeaderSize:]) != sum {
+			// No encoder writes an empty payload, so a zero length is
+			// the zero fill past the last frame, and a checksum
+			// mismatch a frame half-written — as long as nothing but
+			// zeros follows.
+			if allZero(rest[len(frame):]) {
+				break
 			}
-			return nil, 0, fmt.Errorf("%w: checksum mismatch at offset %d with %d bytes following",
-				ErrCorrupt, off, len(rest)-frameHeaderSize-int(length))
+			return 0, 0, fmt.Errorf("%w: damaged frame at offset %d with nonzero bytes following", ErrCorrupt, off)
 		}
-		var rec core.RoundRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return nil, 0, fmt.Errorf("%w: undecodable record at offset %d: %v", ErrCorrupt, off, err)
-		}
-		if rec.Round != len(recs) {
-			return nil, 0, fmt.Errorf("%w: record at offset %d has round %d, want %d",
-				ErrCorrupt, off, rec.Round, len(recs))
-		}
-		recs = append(recs, rec)
-		off += int64(frameHeaderSize) + int64(length)
-		rest = rest[frameHeaderSize+int(length):]
+		n++
+		off += len(frame)
 	}
-	return recs, off, nil
+	return n, int64(off), nil
+}
+
+// allZero reports whether b holds only zero bytes.
+func allZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// decodeJSON decodes a CVGJNL01 payload.
+func decodeJSON(payload []byte) (core.RoundRecord, error) {
+	var rec core.RoundRecord
+	err := json.Unmarshal(payload, &rec)
+	return rec, err
+}
+
+// appendFrame appends rec's frame to buf.
+func appendFrame(buf []byte, rec core.RoundRecord) ([]byte, error) {
+	start := len(buf)
+	buf = binary.LittleEndian.AppendUint64(buf, 0) // header, filled below
+	buf, err := encodeRecord(buf, rec)
+	if err != nil {
+		return buf[:start], err
+	}
+	payload := buf[start+frameHeaderSize:]
+	if len(payload) > maxFrameSize {
+		return buf[:start], fmt.Errorf("journal: round %d encodes to %d bytes", rec.Round, len(payload))
+	}
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
+	return buf, nil
 }
 
 // Append implements core.RoundJournal: one frame per committed round,
-// fsynced before returning so a crash never loses an acknowledged
-// round. Records must arrive in round order.
+// durable before Append returns, so a crash never loses an
+// acknowledged round. Records must arrive in round order.
 func (j *Journal) Append(rec core.RoundRecord) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -224,20 +425,25 @@ func (j *Journal) Append(rec core.RoundRecord) error {
 	if rec.Round != j.next {
 		return fmt.Errorf("journal: append round %d, want %d", rec.Round, j.next)
 	}
-	payload, err := json.Marshal(rec)
+	frame, err := appendFrame(j.buf[:0], rec)
+	j.buf = frame
 	if err != nil {
 		return fmt.Errorf("journal: encode round %d: %w", rec.Round, err)
 	}
-	frame := make([]byte, frameHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[frameHeaderSize:], payload)
-	if _, err := j.f.Write(frame); err != nil {
+	n := int64(len(frame))
+	if j.prealloc && j.end+n > j.size {
+		if err := j.grow(n); err != nil {
+			return fmt.Errorf("journal: grow for round %d: %w", rec.Round, err)
+		}
+	}
+	if _, err := j.f.WriteAt(frame, j.end); err != nil {
 		return fmt.Errorf("journal: write round %d: %w", rec.Round, err)
 	}
-	if err := j.f.Sync(); err != nil {
+	if err := fdatasync(j.f); err != nil {
 		return fmt.Errorf("journal: sync round %d: %w", rec.Round, err)
 	}
+	j.end += n
+	j.size = max(j.size, j.end)
 	j.next++
 	return nil
 }
@@ -252,14 +458,43 @@ func (j *Journal) Rounds() int {
 // Path returns the journal's file path.
 func (j *Journal) Path() string { return j.path }
 
-// Close closes the underlying file; further appends fail.
+// Close truncates the preallocated zeros past the last frame and
+// closes the file; further appends fail. The truncation is not synced:
+// a crash that undoes it leaves the zeros, which read as the end of
+// the log.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
 		return nil
 	}
-	err := j.f.Close()
+	var err error
+	if j.size > j.end {
+		if err = j.f.Truncate(j.end); err != nil {
+			err = fmt.Errorf("journal: truncate %s to its last round: %w", j.path, err)
+		}
+	}
+	if cerr := j.f.Close(); err == nil {
+		err = cerr
+	}
 	j.f = nil
+	return err
+}
+
+// SyncDir fsyncs a directory, making the entries created in it or
+// renamed into it durable. Windows has no directory fsync, so there
+// it does nothing.
+func SyncDir(dir string) error {
+	if runtime.GOOS == "windows" {
+		return nil
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
 	return err
 }

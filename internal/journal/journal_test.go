@@ -2,9 +2,11 @@ package journal
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"imagecvg/internal/core"
@@ -308,5 +310,297 @@ func TestJournalAppendSequence(t *testing.T) {
 	}
 	if err := j.Append(core.RoundRecord{Round: 1}); err == nil {
 		t.Error("append to closed journal succeeded")
+	}
+}
+
+// withZeros returns data followed by n zero bytes.
+func withZeros(data []byte, n int) []byte {
+	return append(append([]byte(nil), data...), make([]byte, n)...)
+}
+
+// reopenAppend opens the journal at path, checks it replays want,
+// appends one more round and checks a reload returns want plus it, in
+// a CVGJNL02 file.
+func reopenAppend(t *testing.T, path string, want []core.RoundRecord) {
+	t.Helper()
+	j, replay, err := Open(path)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if !recordsEqual(replay, want) {
+		t.Fatalf("Open replayed %d records, want %d", len(replay), len(want))
+	}
+	next := core.RoundRecord{Round: len(want), Points: []dataset.ObjectID{42}, PointAnswers: [][]int{{0}}}
+	if err := j.Append(next); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data[:len(magic)]) != magic {
+		t.Fatalf("after Open and Append the file starts %q, want %q", data[:len(magic)], magic)
+	}
+	loaded, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !recordsEqual(loaded, append(append([]core.RoundRecord(nil), want...), next)) {
+		t.Fatalf("reload returned %d records, want %d", len(loaded), len(want)+1)
+	}
+}
+
+// TestZeroTailIsEndOfLog: zeros after the last frame — the unused
+// part of a preallocated extent, or what a crash leaves on a file
+// system that zero-fills — end the log in either codec version; they
+// are not corruption.
+func TestZeroTailIsEndOfLog(t *testing.T) {
+	v1, err := os.ReadFile(v1SampleFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2Path := filepath.Join(t.TempDir(), "v2.jnl")
+	writeJournal(t, v2Path, sampleRecords())
+	v2, err := os.ReadFile(v2Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{{"v1", v1}, {"v2", v2}} {
+		for _, zeros := range []int{1, 7, 8, 4096} {
+			t.Run(fmt.Sprintf("%s+%d", tc.name, zeros), func(t *testing.T) {
+				path := filepath.Join(t.TempDir(), "audit.jnl")
+				if err := os.WriteFile(path, withZeros(tc.data, zeros), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				recs, err := Load(path)
+				if err != nil {
+					t.Fatalf("Load: %v", err)
+				}
+				if !recordsEqual(recs, sampleRecords()) {
+					t.Fatalf("Load returned %d records, want %d", len(recs), len(sampleRecords()))
+				}
+				reopenAppend(t, path, sampleRecords())
+			})
+		}
+	}
+}
+
+// TestZeroedHeaderThenDataIsCorrupt: a zeroed frame header followed by
+// any nonzero byte is not a zero fill, and fails loudly.
+func TestZeroedHeaderThenDataIsCorrupt(t *testing.T) {
+	v1, err := os.ReadFile(v1SampleFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2Path := filepath.Join(t.TempDir(), "v2.jnl")
+	writeJournal(t, v2Path, sampleRecords())
+	v2, err := os.ReadFile(v2Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{{"v1", v1}, {"v2", v2}} {
+		for _, at := range []int{frameHeaderSize, frameHeaderSize + 1, 300} {
+			t.Run(fmt.Sprintf("%s@%d", tc.name, at), func(t *testing.T) {
+				data := withZeros(tc.data, 512)
+				data[len(tc.data)+at] = 1
+				path := filepath.Join(t.TempDir(), "audit.jnl")
+				if err := os.WriteFile(path, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := Load(path); !errors.Is(err, ErrCorrupt) {
+					t.Errorf("Load = %v, want ErrCorrupt", err)
+				}
+				if _, _, err := Open(path); !errors.Is(err, ErrCorrupt) {
+					t.Errorf("Open = %v, want ErrCorrupt", err)
+				}
+			})
+		}
+	}
+}
+
+// TestTornFrameBeforeZerosRecovers: a frame that fails its checksum
+// with only zeros behind it is a torn tail in a preallocated file.
+func TestTornFrameBeforeZerosRecovers(t *testing.T) {
+	recs := sampleRecords()
+	path := filepath.Join(t.TempDir(), "audit.jnl")
+	writeJournal(t, path, recs)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Zero the second half of the last frame, as a crash that wrote only
+	// its first sectors leaves it, then add the extent's zero fill.
+	data = withZeros(data, 1024)
+	last := len(data) - 1024
+	clear(data[last-4 : last])
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(path)
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if !recordsEqual(loaded, recs[:len(recs)-1]) {
+		t.Fatalf("recovered %d records, want %d", len(loaded), len(recs)-1)
+	}
+	reopenAppend(t, path, recs[:len(recs)-1])
+}
+
+// TestPreallocatedExtents: an open journal holds a whole preallocated
+// extent that reads as the end of the log, and Close cuts it back to
+// the magic plus the frames.
+func TestPreallocatedExtents(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "audit.jnl")
+	j, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frames int64 = int64(len(magic))
+	for _, rec := range sampleRecords() {
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		frame, err := appendFrame(nil, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames += int64(len(frame))
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.prealloc && fi.Size() != extent {
+		t.Errorf("open journal is %d bytes, want one %d-byte extent", fi.Size(), extent)
+	}
+	if !j.prealloc && fi.Size() != frames {
+		t.Errorf("journal without preallocation is %d bytes, want %d", fi.Size(), frames)
+	}
+	// A reader sees the records of the unclosed file, as after a crash.
+	recs, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !recordsEqual(recs, sampleRecords()) {
+		t.Fatalf("Load of the open journal returned %d records", len(recs))
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if fi, err = os.Stat(path); err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() != frames {
+		t.Errorf("closed journal is %d bytes, want %d", fi.Size(), frames)
+	}
+
+	// Appends that outgrow the first extent grow the file by whole
+	// extents.
+	big := core.RoundRecord{Points: make([]dataset.ObjectID, 100_000), PointAnswers: [][]int{}}
+	for i := range big.Points {
+		big.Points[i] = dataset.ObjectID(i)
+	}
+	j, _, err = Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 3; r < 8; r++ {
+		big.Round = r
+		if err := j.Append(big); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fi, err = os.Stat(path); err != nil {
+		t.Fatal(err)
+	}
+	if j.prealloc && fi.Size()%extent != 0 {
+		t.Errorf("grown journal is %d bytes, not whole extents", fi.Size())
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err = Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 8 || len(recs[7].Points) != len(big.Points) {
+		t.Fatalf("after growth: %d records", len(recs))
+	}
+}
+
+// TestOpenUpgradesV1: Open rewrites a CVGJNL01 journal as CVGJNL02
+// before appending, keeping the file's permissions and leaving no
+// temporary file behind.
+func TestOpenUpgradesV1(t *testing.T) {
+	path := copyFixture(t, v1SampleFixture)
+	if err := os.Chmod(path, 0o640); err != nil {
+		t.Fatal(err)
+	}
+	reopenAppend(t, path, sampleRecords())
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runtime.GOOS != "windows" && fi.Mode().Perm() != 0o640 {
+		t.Errorf("upgraded journal has mode %v, want 0640", fi.Mode().Perm())
+	}
+	entries, err := os.ReadDir(filepath.Dir(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Errorf("directory holds %d entries after the upgrade, want only the journal", len(entries))
+	}
+}
+
+// TestCodecKeepsRecordShape: the binary codec keeps what the JSON
+// codec lost or never had to carry: nil and empty label vectors,
+// exact spend bits, an empty point round, shared groups.
+func TestCodecKeepsRecordShape(t *testing.T) {
+	g := pattern.Group{Name: "f", Members: []pattern.Pattern{{1, -1}}}
+	h := pattern.Group{Name: "f", Members: []pattern.Pattern{{1, 0}}}
+	recs := []core.RoundRecord{
+		{Round: 0, Points: []dataset.ObjectID{1, 2, 3}, PointAnswers: [][]int{nil, {}, {-1, 7}},
+			Spent: core.BudgetSpent{Point: 3, Spend: 0.1 + 0.2}},
+		{Round: 1, Points: []dataset.ObjectID{4}, PointAnswers: [][]int{}, ErrKind: "budget"},
+		{Round: 2, Sets: []core.SetRequest{
+			{IDs: []dataset.ObjectID{1}, Group: g},
+			{IDs: []dataset.ObjectID{2}, Group: g, Reverse: true},
+			{IDs: []dataset.ObjectID{3}, Group: h},
+			{IDs: []dataset.ObjectID{4}, Group: g},
+		}, SetAnswers: []bool{true, false, true, true, false, false, false, false, true}, ErrKind: "transient"},
+	}
+	var d decoder
+	for _, rec := range recs {
+		payload, err := encodeRecord(nil, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := d.decode(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, rec) {
+			t.Errorf("round %d decoded as\n%+v\nwant\n%+v", rec.Round, got, rec)
+		}
+	}
+
+	for _, bad := range []core.RoundRecord{
+		{Points: []dataset.ObjectID{1}, SetAnswers: []bool{true}},
+		{Sets: []core.SetRequest{{IDs: []dataset.ObjectID{1}}}, PointAnswers: [][]int{{0}}},
+		{Points: []dataset.ObjectID{1}, ErrKind: "hard"},
+	} {
+		if _, err := encodeRecord(nil, bad); err == nil {
+			t.Errorf("encoded %+v", bad)
+		}
 	}
 }

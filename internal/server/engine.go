@@ -498,7 +498,7 @@ func (e *Engine) finish(j *job, state JobState, res *JobResult, err error) {
 }
 
 // writeMeta persists a job meta atomically (temp file + rename,
-// fsynced before the swap).
+// fsynced before the swap, the directory fsynced after it).
 func (e *Engine) writeMeta(meta jobMeta) error {
 	data, err := marshalMeta(meta)
 	if err != nil {
@@ -521,6 +521,9 @@ func (e *Engine) writeMeta(meta jobMeta) error {
 	if err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("server: persist job meta: %w", err)
+	}
+	if err := journal.SyncDir(e.opts.DataDir); err != nil {
+		return fmt.Errorf("server: sync data dir after job meta: %w", err)
 	}
 	return nil
 }

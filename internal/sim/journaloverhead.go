@@ -106,8 +106,9 @@ type journalTrialValue struct {
 // the journaling middleware backed by the fsynced file codec (one
 // journal file per trial, removed afterwards). Both cells share trial
 // seeds, so they audit identical datasets and commit identical rounds;
-// only the wall-clock differs — by one JSON encode plus one fsync per
-// committed round, the price of crash-safe checkpoint/resume.
+// only the wall-clock differs — by one binary encode plus one
+// fdatasync per committed round, the price of crash-safe
+// checkpoint/resume.
 func RunJournalOverhead(p JournalOverheadParams, o Options) (*JournalOverheadResult, error) {
 	s := oneAttrSchema(4)
 	groups := pattern.GroupsForAttribute(s, 0)

@@ -269,7 +269,6 @@ func (d *decoder) decode(payload []byte) (core.RoundRecord, error) {
 	if kind > kindPoint || int(errKind) >= len(errKinds) {
 		r.fail()
 	}
-	rec.ErrKind = errKinds[min(int(errKind), len(errKinds)-1)]
 	rec.Spent.Point, rec.Spent.Set, rec.Spent.ReverseSet, rec.Spent.Denied = r.int(), r.int(), r.int(), r.int()
 	if len(r.b) < 8 {
 		r.fail()
@@ -280,6 +279,7 @@ func (d *decoder) decode(payload []byte) (core.RoundRecord, error) {
 	if r.err != nil {
 		return core.RoundRecord{}, r.err
 	}
+	rec.ErrKind = errKinds[errKind]
 
 	if kind == kindPoint {
 		rec.Points = d.readIDs(&r)

@@ -105,10 +105,23 @@ func TestLoadV1Fixture(t *testing.T) {
 
 // TestResumeFromV1Journal: an audit resumed from a CVGJNL01 journal —
 // whole, or cut in half as by a crash — ends exactly like the
-// uninterrupted run: the same results and spend, and the same journal
-// records.
+// uninterrupted run: the same results and spend, the same journal
+// records, and the same bytes as the journal of an uninterrupted run
+// written by the current codec.
 func TestResumeFromV1Journal(t *testing.T) {
-	want, _ := compatAudit(t, nil, nil)
+	fresh := filepath.Join(t.TempDir(), "fresh.jnl")
+	j, err := Create(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := compatAudit(t, j, nil)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wantBytes, err := os.ReadFile(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
 	full, err := Load(v1AuditFixture)
 	if err != nil {
 		t.Fatal(err)
@@ -136,6 +149,9 @@ func TestResumeFromV1Journal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if tc.name == "half" && (len(replay) == 0 || len(replay) == len(full)) {
+				t.Fatalf("the cut journal replays %d of %d rounds", len(replay), len(full))
+			}
 			got, jo := compatAudit(t, j, replay)
 			if err := j.Close(); err != nil {
 				t.Fatal(err)
@@ -153,6 +169,9 @@ func TestResumeFromV1Journal(t *testing.T) {
 			}
 			if !recordsEqual(final, full) {
 				t.Fatal("resumed journal records diverged from the uninterrupted run's")
+			}
+			if gotBytes, err := os.ReadFile(path); err != nil || !bytes.Equal(gotBytes, wantBytes) {
+				t.Fatalf("resumed journal is not byte-identical to an uninterrupted run's (read error %v)", err)
 			}
 		})
 	}

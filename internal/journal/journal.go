@@ -186,9 +186,21 @@ func upgrade(path string, perm os.FileMode, recs []core.RoundRecord) (*Journal, 
 		return nil, fmt.Errorf("journal: upgrade %s: %w", path, err)
 	}
 	j := &Journal{f: f, path: path, next: len(recs), prealloc: true}
-	err = f.Chmod(perm)
+	buf := []byte(magic)
+	for _, rec := range recs {
+		if buf, err = appendFrame(buf, rec); err != nil {
+			break
+		}
+	}
 	if err == nil {
-		err = j.writeFrames(recs)
+		err = f.Chmod(perm)
+	}
+	if err == nil {
+		_, err = f.WriteAt(buf, 0)
+	}
+	if err == nil {
+		j.end = int64(len(buf))
+		err = j.start(j.end)
 	}
 	if err == nil {
 		err = os.Rename(f.Name(), path)
@@ -202,23 +214,6 @@ func upgrade(path string, perm os.FileMode, recs []core.RoundRecord) (*Journal, 
 		return nil, fmt.Errorf("journal: upgrade %s: %w", path, err)
 	}
 	return j, nil
-}
-
-// writeFrames writes the magic and recs' frames to the journal's
-// empty file, then readies it for appends.
-func (j *Journal) writeFrames(recs []core.RoundRecord) error {
-	buf := []byte(magic)
-	for _, rec := range recs {
-		var err error
-		if buf, err = appendFrame(buf, rec); err != nil {
-			return err
-		}
-	}
-	if _, err := j.f.WriteAt(buf, 0); err != nil {
-		return err
-	}
-	j.end = int64(len(buf))
-	return j.start(j.end)
 }
 
 // start readies the file for appends once its first j.end bytes hold

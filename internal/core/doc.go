@@ -231,15 +231,16 @@
 // via Go's allocation-free map[string(bytes)] form, materializing a
 // string only when a key is stored; batch rounds steal the scratch for
 // the duration of the call so keys survive the unlock. The crowd
-// platform reuses its worker-draw permutation, answer, glyph and label
-// buffers under the platform lock, and renders glyphs lazily on first
-// reference.
+// platform reuses its worker-draw permutation, answer and subgroup
+// buffers under the platform lock, and perceives from the clean glyph
+// of each object's subgroup: without noise a look is a table lookup,
+// with noise one perturbed copy of the template is decoded.
 //
 // The invariant all of it preserves: RNG consumption per committed HIT
 // is byte-for-byte what the allocating code drew — the scratch worker
-// draw replays rand.Perm's exact loop, perception reuses buffers but
-// never reorders NormFloat64 calls, and slip corruption keeps its
-// conditional second Intn. Any optimization that changes a draw
+// draw replays rand.Perm's exact loop, perception draws one NormFloat64
+// per pixel in the same order (none without noise), and slip
+// corruption keeps its conditional second Intn. Any optimization that changes a draw
 // sequence changes every golden artifact downstream; the golden suite
 // and the lockstep conformance matrix pin this. The complementary
 // ownership rule: scratch slices handed to aggregators or the response

@@ -69,9 +69,10 @@ func DefaultConfig(seed int64) Config {
 }
 
 // Platform is the simulated crowdsourcing marketplace bound to one
-// dataset. It renders each object as a glyph once, routes HITs to
+// dataset. Workers look at each object through the clean glyph of its
+// subgroup, rendered once per schema; the platform routes HITs to
 // randomly drawn eligible workers, aggregates their answers, and
-// accounts every HIT in a ledger.
+// accounts every HIT in a ledger. It keeps no state per object.
 //
 // Platform implements core.Oracle and, natively, core.BatchOracle. A
 // mutex serializes all HITs (worker draws and perception noise share
@@ -89,7 +90,6 @@ func DefaultConfig(seed int64) Config {
 type Platform struct {
 	ds       *dataset.Dataset
 	renderer *imagegen.Renderer
-	glyphs   map[dataset.ObjectID]imagegen.Glyph
 	cfg      Config
 	pool     []*Worker
 	eligible []*Worker
@@ -109,19 +109,17 @@ type Platform struct {
 	// values without retaining the slices. permScratch reproduces
 	// rand.Perm's exact draw sequence without its per-HIT allocation;
 	// see draw.
-	permScratch   []int
-	workerScratch []*Worker
-	answerScratch []bool
-	glyphScratch  []imagegen.Glyph
-	labelScratch  []int
-	pointScratch  [][]int
+	permScratch     []int
+	workerScratch   []*Worker
+	answerScratch   []bool
+	subgroupScratch []int
+	pointScratch    [][]int
 }
 
-// NewPlatform builds a platform over the dataset: generates the worker
-// pool and applies the configured quality controls. Glyphs render
-// lazily on first query (rendering consumes no RNG, so transcripts are
-// identical to eager pre-rendering), keeping construction O(1) in the
-// dataset size; WarmGlyphs renders them all up front when wanted.
+// NewPlatform builds a platform over the dataset: renders the clean
+// glyph of every subgroup of its schema, generates the worker pool and
+// applies the configured quality controls. Construction and the
+// platform's memory are independent of the dataset size.
 func NewPlatform(ds *dataset.Dataset, cfg Config) (*Platform, error) {
 	if ds == nil {
 		return nil, errors.New("crowd: nil dataset")
@@ -154,7 +152,6 @@ func NewPlatform(ds *dataset.Dataset, cfg Config) (*Platform, error) {
 	p := &Platform{
 		ds:       ds,
 		renderer: renderer,
-		glyphs:   make(map[dataset.ObjectID]imagegen.Glyph),
 		cfg:      cfg,
 		pool:     pool,
 		ledger:   NewLedger(cfg.FeeRate),
@@ -225,21 +222,11 @@ func (p *Platform) SetExcludedWorkers(ids []int) int {
 	return len(p.baseEligible) - len(eligible)
 }
 
-// WarmGlyphs renders every object's glyph up front. Rendering consumes
-// no RNG, so warming changes no transcript; it only moves the rendering
-// cost out of the first queries — useful before a measured audit.
-func (p *Platform) WarmGlyphs() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i := 0; i < p.ds.Size(); i++ {
-		o := p.ds.At(i)
-		if _, ok := p.glyphs[o.ID]; !ok {
-			if g, err := p.renderer.Render(o.Labels, 0, nil); err == nil {
-				p.glyphs[o.ID] = g
-			}
-		}
-	}
-}
+// WarmGlyphs does nothing. The platform renders one template per
+// subgroup when it is built and nothing per object, so there is no
+// rendering left to move out of the first queries; the method remains
+// for callers written when glyphs rendered lazily per object.
+func (p *Platform) WarmGlyphs() {}
 
 // Ledger returns the platform's cost ledger.
 func (p *Platform) Ledger() *Ledger { return p.ledger }
@@ -293,45 +280,39 @@ func (p *Platform) draw() []*Worker {
 	return out
 }
 
-// glyph returns the object's rendered glyph, rendering and memoizing
-// it on first use. Rendering takes no RNG, so the lazy fill changes no
-// transcript. Callers hold p.mu.
-func (p *Platform) glyph(id dataset.ObjectID) (imagegen.Glyph, error) {
-	if g, ok := p.glyphs[id]; ok {
-		return g, nil
-	}
+// subgroup returns the subgroup (template) index of an object; callers
+// hold p.mu.
+func (p *Platform) subgroup(id dataset.ObjectID) (int, error) {
 	o, ok := p.ds.ByID(id)
 	if !ok {
-		return imagegen.Glyph{}, fmt.Errorf("crowd: unknown object %d", id)
+		return 0, fmt.Errorf("crowd: unknown object %d", id)
 	}
-	g, err := p.renderer.Render(o.Labels, 0, nil)
-	if err != nil {
-		return imagegen.Glyph{}, err
+	k, ok := p.renderer.Index(o.Labels)
+	if !ok {
+		return 0, fmt.Errorf("crowd: object %d has invalid labels %v", id, o.Labels)
 	}
-	p.glyphs[id] = g
-	return g, nil
+	return k, nil
 }
 
-// glyphsFor resolves a set query's glyphs into the platform's scratch
-// buffer, valid until the next query; callers hold p.mu.
-func (p *Platform) glyphsFor(ids []dataset.ObjectID) ([]imagegen.Glyph, error) {
+// subgroupsFor resolves a set query's objects to subgroup indices in
+// the platform's scratch buffer, valid until the next query; callers
+// hold p.mu.
+func (p *Platform) subgroupsFor(ids []dataset.ObjectID) ([]int, error) {
 	if len(ids) == 0 {
 		return nil, errors.New("crowd: empty query set")
 	}
 	if p.cfg.SetSizeLimit > 0 && len(ids) > p.cfg.SetSizeLimit {
 		return nil, fmt.Errorf("crowd: set query of %d images exceeds limit %d", len(ids), p.cfg.SetSizeLimit)
 	}
-	if cap(p.glyphScratch) < len(ids) {
-		p.glyphScratch = make([]imagegen.Glyph, len(ids))
-	}
-	out := p.glyphScratch[:len(ids)]
-	for i, id := range ids {
-		g, err := p.glyph(id)
+	out := p.subgroupScratch[:0]
+	for _, id := range ids {
+		k, err := p.subgroup(id)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = g
+		out = append(out, k)
 	}
+	p.subgroupScratch = out
 	return out, nil
 }
 
@@ -432,7 +413,7 @@ func (p *Platform) Warm(replay []core.RoundRecord) error {
 
 // setQuery publishes one set/reverse-set HIT; callers hold p.mu.
 func (p *Platform) setQuery(ids []dataset.ObjectID, g pattern.Group, reverse bool) (bool, error) {
-	glyphs, err := p.glyphsFor(ids)
+	subgroups, err := p.subgroupsFor(ids)
 	if err != nil {
 		return false, err
 	}
@@ -443,9 +424,8 @@ func (p *Platform) setQuery(ids []dataset.ObjectID, g pattern.Group, reverse boo
 	answers := p.answerScratch[:len(workers)]
 	for i, w := range workers {
 		ans := false
-		for gi := range glyphs {
-			p.labelScratch = w.perceiveLabelsInto(p.renderer, glyphs[gi], p.labelScratch)
-			match := g.Matches(p.labelScratch)
+		for _, k := range subgroups {
+			match := g.Matches(p.renderer.Labels(w.perceive(p.renderer, k)))
 			if reverse {
 				match = !match
 			}
@@ -488,7 +468,7 @@ func (p *Platform) PointQuery(id dataset.ObjectID) ([]int, error) {
 // aggregated result is freshly allocated (ownership passes to the
 // caller); only the per-worker answer rows are platform scratch.
 func (p *Platform) pointQuery(id dataset.ObjectID) ([]int, error) {
-	glyph, err := p.glyph(id)
+	k, err := p.subgroup(id)
 	if err != nil {
 		return nil, err
 	}
@@ -498,7 +478,7 @@ func (p *Platform) pointQuery(id dataset.ObjectID) ([]int, error) {
 	}
 	answers := p.pointScratch[:len(workers)]
 	for i, w := range workers {
-		answers[i] = w.perceiveLabelsInto(p.renderer, glyph, answers[i])
+		answers[i] = append(answers[i][:0], p.renderer.Labels(w.perceive(p.renderer, k))...)
 		if w.slip() {
 			corruptOneAttrInPlace(answers[i], p.ds.Schema(), w.rng)
 		}

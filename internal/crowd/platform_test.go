@@ -316,68 +316,3 @@ func TestCorruptOneAttrChangesExactlyOne(t *testing.T) {
 		}
 	}
 }
-
-// TestLazyGlyphRenderingMatchesEager pins the determinism argument for
-// render-on-first-query memoization: rendering consumes no RNG, so a
-// cold platform and one whose glyphs were all pre-rendered via
-// WarmGlyphs must produce byte-identical answers, transcripts and
-// ledgers for the same query sequence.
-func TestLazyGlyphRenderingMatchesEager(t *testing.T) {
-	d := testDataset(t, 120, 25, 11)
-	g := dataset.Female(d.Schema())
-	ids := d.IDs()
-
-	run := func(warm bool) (answers []bool, labels [][]int, log *ResponseLog, cost float64) {
-		log = &ResponseLog{}
-		cfg := DefaultConfig(99)
-		cfg.Profile = DefaultProfile(12)
-		cfg.Responses = log
-		p, err := NewPlatform(d, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if warm {
-			p.WarmGlyphs()
-		}
-		for i := 0; i+10 <= len(ids); i += 10 {
-			ans, err := p.SetQuery(ids[i:i+10], g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			answers = append(answers, ans)
-		}
-		for _, id := range ids[:8] {
-			l, err := p.PointQuery(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			labels = append(labels, l)
-		}
-		return answers, labels, log, p.Ledger().TotalCost()
-	}
-
-	coldAns, coldLabels, coldLog, coldCost := run(false)
-	warmAns, warmLabels, warmLog, warmCost := run(true)
-	for i := range coldAns {
-		if coldAns[i] != warmAns[i] {
-			t.Fatalf("set answer %d diverged: lazy %v, warm %v", i, coldAns[i], warmAns[i])
-		}
-	}
-	for i := range coldLabels {
-		if !equalLabels(coldLabels[i], warmLabels[i]) {
-			t.Fatalf("point answer %d diverged: lazy %v, warm %v", i, coldLabels[i], warmLabels[i])
-		}
-	}
-	cold, warm := coldLog.Responses(), warmLog.Responses()
-	if len(cold) != len(warm) {
-		t.Fatalf("transcript lengths diverged: lazy %d, warm %d", len(cold), len(warm))
-	}
-	for i := range cold {
-		if cold[i] != warm[i] {
-			t.Fatalf("transcript entry %d diverged: lazy %+v, warm %+v", i, cold[i], warm[i])
-		}
-	}
-	if coldCost != warmCost {
-		t.Fatalf("ledger cost diverged: lazy %v, warm %v", coldCost, warmCost)
-	}
-}

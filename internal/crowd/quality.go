@@ -3,6 +3,7 @@ package crowd
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"imagecvg/internal/imagegen"
 	"imagecvg/internal/pattern"
@@ -33,15 +34,11 @@ func (q *QualificationTest) Administer(w *Worker, r *imagegen.Renderer, rng *ran
 	s := r.Schema()
 	correct := 0
 	for i := 0; i < q.Questions; i++ {
-		labels := []int(pattern.SubgroupAt(s, rng.Intn(s.NumSubgroups())))
-		g, err := r.Render(labels, 0, nil)
-		if err != nil {
-			return false, err
-		}
-		got := w.perceiveLabels(r, g)
+		k := rng.Intn(s.NumSubgroups())
+		got := slices.Clone(r.Labels(w.perceive(r, k)))
 		if w.slip() {
-			// A slip on the test corrupts one attribute; got is freshly
-			// allocated by perceiveLabels, so the in-place form is safe.
+			// A slip on the test corrupts one attribute of the worker's
+			// own copy of the decoded labels.
 			corruptOneAttrInPlace(got, s, w.rng)
 		}
 		// Adversarial strategies answer the qualification test too, so
@@ -49,7 +46,7 @@ func (q *QualificationTest) Administer(w *Worker, r *imagegen.Renderer, rng *ran
 		if w.strategy != nil {
 			w.strategy.AnswerLabels(w, s, got)
 		}
-		if equalLabels(got, labels) {
+		if equalLabels(got, r.Labels(k)) {
 			correct++
 		}
 	}

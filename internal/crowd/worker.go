@@ -52,16 +52,10 @@ func (w *Worker) Adversarial() (string, bool) {
 	return w.strategy.Name(), true
 }
 
-// perceiveMatch reports whether the worker, looking at the glyph,
-// believes the object matches the predicate over decoded labels.
-func (w *Worker) perceiveLabels(r *imagegen.Renderer, g imagegen.Glyph) []int {
-	return r.Perceive(g, w.PerceptNoise, w.rng)
-}
-
-// perceiveLabelsInto is perceiveLabels writing into dst — identical
-// RNG draws, no allocation once dst has capacity.
-func (w *Worker) perceiveLabelsInto(r *imagegen.Renderer, g imagegen.Glyph, dst []int) []int {
-	return r.PerceiveInto(g, w.PerceptNoise, w.rng, dst)
+// perceive returns the subgroup the worker decodes when looking at the
+// glyph of subgroup k through their perceptual noise.
+func (w *Worker) perceive(r *imagegen.Renderer, k int) int {
+	return r.Perceive(k, w.PerceptNoise, w.rng)
 }
 
 // slip reports whether the worker slips on this answer.

@@ -61,17 +61,22 @@ const (
 
 var channelLimits = []int{maxShapes, maxShades, maxMarkers, maxBorders}
 
-// Renderer draws glyphs for objects of one schema and decodes glyphs
-// back to label vectors by nearest-template matching.
+// Renderer draws the clean glyph of every subgroup of one schema and
+// decodes perceived glyphs back to subgroups by nearest-template
+// matching. Objects of one subgroup share one template, so perception
+// is keyed by the subgroup (template) index, never by the object.
 type Renderer struct {
 	schema    *pattern.Schema
 	templates []Glyph // clean glyph per subgroup index
-	labels    [][]int // label vector per subgroup index, for decoding
+	labels    [][]int // label vector per subgroup index
+	decoded   []int   // nearest(&templates[k]) per subgroup index k
 }
 
 // NewRenderer validates that the schema fits the available visual
-// channels (at most 4 attributes with cardinalities 6, 6, 4, 3) and
-// precomputes the clean template of every subgroup.
+// channels (at most 4 attributes with cardinalities 6, 6, 4, 3),
+// precomputes the clean template of every subgroup, and decodes each
+// template once: what a noiseless look at subgroup k decodes to is
+// fixed, and the table holds it rather than assuming it is k.
 func NewRenderer(s *pattern.Schema) (*Renderer, error) {
 	if s.NumAttrs() > len(channelLimits) {
 		return nil, fmt.Errorf("imagegen: %d attributes exceed the %d visual channels", s.NumAttrs(), len(channelLimits))
@@ -86,15 +91,40 @@ func NewRenderer(s *pattern.Schema) (*Renderer, error) {
 	m := s.NumSubgroups()
 	r.templates = make([]Glyph, m)
 	r.labels = make([][]int, m)
+	r.decoded = make([]int, m)
 	for idx := 0; idx < m; idx++ {
 		r.labels[idx] = []int(pattern.SubgroupAt(s, idx))
 		r.templates[idx] = r.clean(r.labels[idx])
+	}
+	for idx := range r.templates {
+		r.decoded[idx] = r.nearest(&r.templates[idx])
 	}
 	return r, nil
 }
 
 // Schema returns the renderer's schema.
 func (r *Renderer) Schema() *pattern.Schema { return r.schema }
+
+// Index returns the subgroup (template) index of a label vector, the
+// mixed-radix index pattern.SubgroupIndex computes, or false when the
+// labels are not valid for the schema. It does not allocate.
+func (r *Renderer) Index(labels []int) (int, bool) {
+	if !r.schema.ValidLabels(labels) {
+		return 0, false
+	}
+	idx := 0
+	for i, v := range labels {
+		idx = idx*r.schema.Attr(i).Cardinality() + v
+	}
+	return idx, true
+}
+
+// Labels returns the label vector of subgroup k. The slice is shared:
+// callers read it and must not modify it.
+func (r *Renderer) Labels(k int) []int { return r.labels[k] }
+
+// Template returns the clean glyph of subgroup k.
+func (r *Renderer) Template(k int) Glyph { return r.templates[k] }
 
 // channel returns the label for channel ch, or 0 when the schema has
 // fewer attributes than channels.
@@ -115,75 +145,45 @@ func (r *Renderer) clean(labels []int) Glyph {
 	return g
 }
 
-// Render draws the glyph for a label vector and perturbs every pixel
-// with additive Gaussian noise of the given standard deviation (in
-// intensity units, 0..255). noise 0 returns the clean template.
-func (r *Renderer) Render(labels []int, noise float64, rng *rand.Rand) (Glyph, error) {
-	if !r.schema.ValidLabels(labels) {
-		return Glyph{}, fmt.Errorf("imagegen: invalid labels %v", labels)
+// Perceive simulates looking at the glyph of subgroup k through
+// additive Gaussian pixel noise of the given standard deviation (in
+// intensity units, 0..255) and returns the subgroup the seen glyph
+// decodes to. It is the primitive crowd workers use. With positive
+// noise and a non-nil rng it draws exactly one NormFloat64 per pixel,
+// in row-major order, perturbs a copy of the template and decodes it;
+// otherwise it draws nothing and returns the template's decoding from
+// the table. With the glyph sizes and channel encodings used here,
+// decoding is exact up to substantial noise, mirroring the paper's
+// observation that these tasks are "easy" for humans.
+func (r *Renderer) Perceive(k int, noise float64, rng *rand.Rand) int {
+	if noise <= 0 || rng == nil {
+		return r.decoded[k]
 	}
-	g := r.templates[pattern.SubgroupIndex(r.schema, pattern.Point(labels))]
-	if noise > 0 && rng != nil {
-		for i := range g {
-			v := float64(g[i]) + rng.NormFloat64()*noise
-			g[i] = clamp8(v)
-		}
+	g := r.templates[k]
+	for i := range g {
+		g[i] = clamp8(float64(g[i]) + rng.NormFloat64()*noise)
 	}
-	return g, nil
-}
-
-// Decode recovers the label vector whose clean template is nearest to
-// the glyph in L2 distance. With the glyph sizes and channel encodings
-// used here, decoding is exact up to substantial noise, mirroring the
-// paper's observation that these tasks are "easy" for humans.
-func (r *Renderer) Decode(g Glyph) []int {
-	return r.DecodeInto(&g, nil)
-}
-
-// DecodeInto is Decode writing into dst (appended from dst[:0], grown
-// as needed) so a hot loop can decode without allocating. It reads the
-// glyph but never retains it, and the returned slice aliases only dst.
-func (r *Renderer) DecodeInto(g *Glyph, dst []int) []int {
-	return append(dst[:0], r.labels[r.nearest(g)]...)
+	return r.nearest(&g)
 }
 
 // nearest returns the subgroup index whose clean template is closest
-// to the glyph in L2 distance.
+// to the glyph in L2 distance; the first index wins a tie.
 func (r *Renderer) nearest(g *Glyph) int {
-	best, bestDist := 0, math.MaxFloat64
+	best, bestDist := 0, math.MaxInt
 	for idx := range r.templates {
-		d := distance(g, &r.templates[idx])
-		if d < bestDist {
+		if d := distance(g, &r.templates[idx]); d < bestDist {
 			best, bestDist = idx, d
 		}
 	}
 	return best
 }
 
-// Perceive simulates looking at the glyph through perceptual noise of
-// the given standard deviation and decoding what is seen. It is the
-// primitive crowd workers use.
-func (r *Renderer) Perceive(g Glyph, noise float64, rng *rand.Rand) []int {
-	return r.PerceiveInto(g, noise, rng, nil)
-}
-
-// PerceiveInto is Perceive writing into dst (see DecodeInto). The RNG
-// draws — one NormFloat64 per pixel when noise is positive — are
-// identical to Perceive's, so swapping one for the other never changes
-// a transcript.
-func (r *Renderer) PerceiveInto(g Glyph, noise float64, rng *rand.Rand, dst []int) []int {
-	if noise > 0 && rng != nil {
-		for i := range g {
-			g[i] = clamp8(float64(g[i]) + rng.NormFloat64()*noise)
-		}
-	}
-	return r.DecodeInto(&g, dst)
-}
-
-func distance(a, b *Glyph) float64 {
-	sum := 0.0
+// distance is the squared L2 distance between two glyphs, exact in
+// integers (at most 256 * 255^2, below 2^24).
+func distance(a, b *Glyph) int {
+	sum := 0
 	for i := range a {
-		d := float64(a[i]) - float64(b[i])
+		d := int(a[i]) - int(b[i])
 		sum += d * d
 	}
 	return sum

@@ -2,8 +2,10 @@ package imagegen
 
 import (
 	"bytes"
+	"fmt"
 	"image/png"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"imagecvg/internal/pattern"
@@ -56,15 +58,14 @@ func TestCleanRoundTripAllSubgroups(t *testing.T) {
 		}
 		for idx := 0; idx < s.NumSubgroups(); idx++ {
 			labels := []int(pattern.SubgroupAt(s, idx))
-			g, err := r.Render(labels, 0, nil)
-			if err != nil {
-				t.Fatal(err)
+			if k, ok := r.Index(labels); !ok || k != idx {
+				t.Fatalf("schema %d: Index(%v) = %d, %v; want %d", si, labels, k, ok, idx)
 			}
-			got := r.Decode(g)
-			for i := range labels {
-				if got[i] != labels[i] {
-					t.Fatalf("schema %d subgroup %v decoded as %v", si, labels, got)
-				}
+			if got := r.Perceive(idx, 0, nil); got != idx {
+				t.Fatalf("schema %d subgroup %v decoded as %v", si, labels, r.Labels(got))
+			}
+			if !slices.Equal(r.Labels(idx), labels) {
+				t.Fatalf("schema %d: Labels(%d) = %v, want %v", si, idx, r.Labels(idx), labels)
 			}
 		}
 	}
@@ -72,8 +73,18 @@ func TestCleanRoundTripAllSubgroups(t *testing.T) {
 
 func TestRenderValidatesLabels(t *testing.T) {
 	r, _ := NewRenderer(genderRace())
-	if _, err := r.Render([]int{9, 0}, 0, nil); err == nil {
-		t.Error("invalid labels: want error")
+	for _, labels := range [][]int{{9, 0}, {0, -1}, {0}, {0, 0, 0}} {
+		if _, ok := r.Index(labels); ok {
+			t.Errorf("Index(%v): want invalid", labels)
+		}
+	}
+}
+
+func TestIndexDoesNotAllocate(t *testing.T) {
+	r, _ := NewRenderer(genderRace())
+	labels := []int{1, 3}
+	if allocs := testing.AllocsPerRun(100, func() { r.Index(labels) }); allocs != 0 {
+		t.Errorf("Index allocates %v times per call", allocs)
 	}
 }
 
@@ -85,19 +96,8 @@ func TestNoisyRoundTripMostlyCorrect(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	trials, correct := 500, 0
 	for i := 0; i < trials; i++ {
-		labels := []int(pattern.SubgroupAt(s, rng.Intn(s.NumSubgroups())))
-		g, err := r.Render(labels, 25, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := r.Decode(g)
-		ok := true
-		for j := range labels {
-			if got[j] != labels[j] {
-				ok = false
-			}
-		}
-		if ok {
+		k := rng.Intn(s.NumSubgroups())
+		if r.Perceive(k, 25, rng) == k {
 			correct++
 		}
 	}
@@ -114,13 +114,9 @@ func TestHeavyNoiseCausesErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	errors := 0
 	for i := 0; i < 300; i++ {
-		labels := []int(pattern.SubgroupAt(s, rng.Intn(s.NumSubgroups())))
-		got := r.Perceive(mustRender(t, r, labels, 0, nil), 300, rng)
-		for j := range labels {
-			if got[j] != labels[j] {
-				errors++
-				break
-			}
+		k := rng.Intn(s.NumSubgroups())
+		if r.Perceive(k, 300, rng) != k {
+			errors++
 		}
 	}
 	if errors == 0 {
@@ -128,22 +124,29 @@ func TestHeavyNoiseCausesErrors(t *testing.T) {
 	}
 }
 
-func mustRender(t *testing.T, r *Renderer, labels []int, noise float64, rng *rand.Rand) Glyph {
-	t.Helper()
-	g, err := r.Render(labels, noise, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
-}
-
 func TestPerceiveNoNoiseEqualsDecode(t *testing.T) {
 	s := genderRace()
 	r, _ := NewRenderer(s)
-	g := mustRender(t, r, []int{1, 3}, 0, nil)
-	got := r.Perceive(g, 0, nil)
-	if got[0] != 1 || got[1] != 3 {
-		t.Errorf("Perceive = %v, want [1 3]", got)
+	k, _ := r.Index([]int{1, 3})
+	rng := rand.New(rand.NewSource(5))
+	if got := r.Perceive(k, 0, rng); got != k || got != r.nearest(&r.templates[k]) {
+		t.Errorf("Perceive = %v, want %v", r.Labels(got), r.Labels(k))
+	}
+	// Without noise nothing is drawn.
+	if got, want := rng.Int63(), rand.New(rand.NewSource(5)).Int63(); got != want {
+		t.Error("Perceive at noise 0 drew from the RNG")
+	}
+}
+
+func TestPerceiveDrawsOnePerPixel(t *testing.T) {
+	r, _ := NewRenderer(genderRace())
+	rng, ref := rand.New(rand.NewSource(6)), rand.New(rand.NewSource(6))
+	r.Perceive(2, 15, rng)
+	for i := 0; i < Size*Size; i++ {
+		ref.NormFloat64()
+	}
+	if rng.Int63() != ref.Int63() {
+		t.Error("Perceive with noise did not draw exactly one NormFloat64 per pixel")
 	}
 }
 
@@ -162,7 +165,8 @@ func TestTemplatesDistinct(t *testing.T) {
 func TestPGMAndPNGEncoding(t *testing.T) {
 	s := genderRace()
 	r, _ := NewRenderer(s)
-	g := mustRender(t, r, []int{0, 2}, 0, nil)
+	k, _ := r.Index([]int{0, 2})
+	g := r.Template(k)
 
 	var pgm bytes.Buffer
 	if err := g.WritePGM(&pgm); err != nil {
@@ -202,5 +206,21 @@ func TestGlyphAccessors(t *testing.T) {
 func TestClamp(t *testing.T) {
 	if clamp8(-5) != 0 || clamp8(300) != 255 || clamp8(128) != 128 {
 		t.Error("clamp8 wrong")
+	}
+}
+
+// BenchmarkPerceive measures one worker's look at one image: a table
+// lookup without noise, a perturbed copy and a decode with it.
+func BenchmarkPerceive(b *testing.B) {
+	s := genderRace()
+	r, _ := NewRenderer(s)
+	for _, noise := range []float64{0, 15} {
+		b.Run(fmt.Sprintf("noise=%g", noise), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r.Perceive(i%s.NumSubgroups(), noise, rng)
+			}
+		})
 	}
 }

@@ -149,18 +149,12 @@ func measureAudit(p *crowd.Platform, audit func() error) (throughputObs, error) 
 }
 
 // throughputPlatform builds the zero-delay, zero-perceptual-noise
-// crowd platform for one trial and pre-renders its glyphs so the
-// measured region is the audit alone.
+// crowd platform for one trial.
 func throughputPlatform(d *dataset.Dataset, poolSize int, seed int64) (*crowd.Platform, error) {
 	cfg := crowd.DefaultConfig(seed)
 	cfg.Profile = crowd.DefaultProfile(poolSize)
 	cfg.Profile.PerceptNoise = 0
-	p, err := crowd.NewPlatform(d, cfg)
-	if err != nil {
-		return nil, err
-	}
-	p.WarmGlyphs()
-	return p, nil
+	return crowd.NewPlatform(d, cfg)
 }
 
 // aggregate folds one cell's trials into a row.

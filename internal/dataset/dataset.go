@@ -37,7 +37,10 @@ type Dataset struct {
 }
 
 // New builds a dataset whose i-th object gets ID i and the i-th label
-// vector. Label vectors are validated against the schema.
+// vector. Label vectors are validated against the schema and copied
+// into one arena shared by the whole dataset; each object's Labels is
+// a capacity-limited window of it, so an append to one object's
+// labels reallocates instead of writing into its neighbour's.
 func New(s *pattern.Schema, labels [][]int) (*Dataset, error) {
 	if s == nil {
 		return nil, errors.New("dataset: nil schema")
@@ -47,11 +50,13 @@ func New(s *pattern.Schema, labels [][]int) (*Dataset, error) {
 		objects: make([]Object, len(labels)),
 		byID:    make(map[ObjectID]int, len(labels)),
 	}
+	width := s.NumAttrs()
+	arena := make([]int, len(labels)*width)
 	for i, l := range labels {
 		if !s.ValidLabels(l) {
 			return nil, fmt.Errorf("dataset: object %d has invalid labels %v", i, l)
 		}
-		cp := make([]int, len(l))
+		cp := arena[i*width : (i+1)*width : (i+1)*width]
 		copy(cp, l)
 		d.objects[i] = Object{ID: ObjectID(i), Labels: cp}
 		d.byID[ObjectID(i)] = i

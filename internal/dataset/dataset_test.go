@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -36,6 +37,28 @@ func TestLabelsAreCopied(t *testing.T) {
 	src[0][0] = 1
 	if d.At(0).Labels[0] != 0 {
 		t.Error("New must deep-copy label vectors")
+	}
+}
+
+func TestLabelAppendLeavesNeighbourAlone(t *testing.T) {
+	s := pattern.MustSchema(
+		pattern.Attribute{Name: "a", Values: []string{"0", "1"}},
+		pattern.Attribute{Name: "b", Values: []string{"0", "1", "2"}},
+	)
+	d := MustFromCounts(s, []int{1, 1, 1, 1, 1, 1}, nil)
+	want := make([][]int, d.Size())
+	for i := range want {
+		want[i] = slices.Clone(d.At(i).Labels)
+	}
+	for i := 0; i < d.Size(); i++ {
+		if grown := append(d.At(i).Labels, 9, 9); len(grown) != s.NumAttrs()+2 {
+			t.Fatalf("append grew object %d's labels to %v", i, grown)
+		}
+		for j := range want {
+			if !slices.Equal(d.At(j).Labels, want[j]) {
+				t.Fatalf("appending to object %d changed object %d: %v, want %v", i, j, d.At(j).Labels, want[j])
+			}
+		}
 	}
 }
 

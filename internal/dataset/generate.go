@@ -15,14 +15,20 @@ func FromCounts(s *pattern.Schema, counts []int, rng *rand.Rand) (*Dataset, erro
 	if len(counts) != s.NumSubgroups() {
 		return nil, fmt.Errorf("dataset: got %d counts, schema has %d subgroups", len(counts), s.NumSubgroups())
 	}
-	var labels [][]int
+	total := 0
 	for idx, c := range counts {
 		if c < 0 {
 			return nil, fmt.Errorf("dataset: negative count %d for subgroup %d", c, idx)
 		}
-		p := pattern.SubgroupAt(s, idx)
+		total += c
+	}
+	// Objects of one subgroup share its label vector here; New copies
+	// each into the dataset's own arena.
+	labels := make([][]int, 0, total)
+	for idx, c := range counts {
+		p := []int(pattern.SubgroupAt(s, idx))
 		for i := 0; i < c; i++ {
-			labels = append(labels, []int(p.Clone()))
+			labels = append(labels, p)
 		}
 	}
 	d, err := New(s, labels)

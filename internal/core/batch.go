@@ -39,6 +39,12 @@ type SetRequest struct {
 // lowest failing one, and the lockstep commit path delivers such a
 // prefix to its tasks instead of discarding paid answers.
 //
+// Callers own the request slices: an implementation reads reqs (and
+// ids) during the call and keeps no reference to the slice afterwards.
+// Copy what must outlive the call, as the journal's records do; the
+// lockstep commit and the one-element rounds of single queries reuse
+// their round slices.
+//
 // Oracles whose answers depend only on the request (TruthOracle, any
 // stateless crowd bridge) may execute a batch in any order or fully in
 // parallel. Stateful simulators (the crowd platform, whose RNG
@@ -126,11 +132,23 @@ func (a *batchAdapter) width() int {
 	return a.parallelism
 }
 
+// One-element rounds for setOne and pointOne. A BatchOracle never
+// keeps a round's request slice past the call (the lockstep commit
+// reuses its round slice the same way), so they are recycled.
+var (
+	setRounds   = sync.Pool{New: func() any { return new([1]SetRequest) }}
+	pointRounds = sync.Pool{New: func() any { return new([1]dataset.ObjectID) }}
+)
+
 // setOne answers one set or reverse-set query as a one-element round
 // of bo: every middleware answers single queries this way, so each
 // layer's policy has exactly one implementation, its round path.
 func setOne(bo BatchOracle, ids []dataset.ObjectID, g pattern.Group, reverse bool) (bool, error) {
-	answers, err := bo.SetQueryBatch([]SetRequest{{IDs: ids, Group: g, Reverse: reverse}})
+	round := setRounds.Get().(*[1]SetRequest)
+	round[0] = SetRequest{IDs: ids, Group: g, Reverse: reverse}
+	answers, err := bo.SetQueryBatch(round[:])
+	round[0] = SetRequest{}
+	setRounds.Put(round)
 	if err != nil {
 		return false, err
 	}
@@ -140,7 +158,10 @@ func setOne(bo BatchOracle, ids []dataset.ObjectID, g pattern.Group, reverse boo
 // pointOne answers one point query as a one-element round of bo; see
 // setOne.
 func pointOne(bo BatchOracle, id dataset.ObjectID) ([]int, error) {
-	labels, err := bo.PointQueryBatch([]dataset.ObjectID{id})
+	round := pointRounds.Get().(*[1]dataset.ObjectID)
+	round[0] = id
+	labels, err := bo.PointQueryBatch(round[:])
+	pointRounds.Put(round)
 	if err != nil {
 		return nil, err
 	}

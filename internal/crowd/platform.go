@@ -222,10 +222,9 @@ func (p *Platform) SetExcludedWorkers(ids []int) int {
 	return len(p.baseEligible) - len(eligible)
 }
 
-// WarmGlyphs does nothing. The platform renders one template per
-// subgroup when it is built and nothing per object, so there is no
-// rendering left to move out of the first queries; the method remains
-// for callers written when glyphs rendered lazily per object.
+// WarmGlyphs does nothing: the platform renders one template per
+// subgroup when it is built and nothing per object, so no rendering is
+// left to move ahead of the first query. Callers may keep calling it.
 func (p *Platform) WarmGlyphs() {}
 
 // Ledger returns the platform's cost ledger.

@@ -123,9 +123,6 @@ func (r *Renderer) Index(labels []int) (int, bool) {
 // callers read it and must not modify it.
 func (r *Renderer) Labels(k int) []int { return r.labels[k] }
 
-// Template returns the clean glyph of subgroup k.
-func (r *Renderer) Template(k int) Glyph { return r.templates[k] }
-
 // channel returns the label for channel ch, or 0 when the schema has
 // fewer attributes than channels.
 func channelValue(labels []int, ch int) int {
@@ -156,14 +153,14 @@ func (r *Renderer) clean(labels []int) Glyph {
 // decoding is exact up to substantial noise, mirroring the paper's
 // observation that these tasks are "easy" for humans.
 func (r *Renderer) Perceive(k int, noise float64, rng *rand.Rand) int {
-	if noise <= 0 || rng == nil {
-		return r.decoded[k]
+	if noise > 0 && rng != nil {
+		g := r.templates[k]
+		for i := range g {
+			g[i] = clamp8(float64(g[i]) + rng.NormFloat64()*noise)
+		}
+		return r.nearest(&g)
 	}
-	g := r.templates[k]
-	for i := range g {
-		g[i] = clamp8(float64(g[i]) + rng.NormFloat64()*noise)
-	}
-	return r.nearest(&g)
+	return r.decoded[k]
 }
 
 // nearest returns the subgroup index whose clean template is closest

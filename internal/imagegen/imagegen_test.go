@@ -128,25 +128,8 @@ func TestPerceiveNoNoiseEqualsDecode(t *testing.T) {
 	s := genderRace()
 	r, _ := NewRenderer(s)
 	k, _ := r.Index([]int{1, 3})
-	rng := rand.New(rand.NewSource(5))
-	if got := r.Perceive(k, 0, rng); got != k || got != r.nearest(&r.templates[k]) {
+	if got := r.Perceive(k, 0, nil); got != k || got != r.nearest(&r.templates[k]) {
 		t.Errorf("Perceive = %v, want %v", r.Labels(got), r.Labels(k))
-	}
-	// Without noise nothing is drawn.
-	if got, want := rng.Int63(), rand.New(rand.NewSource(5)).Int63(); got != want {
-		t.Error("Perceive at noise 0 drew from the RNG")
-	}
-}
-
-func TestPerceiveDrawsOnePerPixel(t *testing.T) {
-	r, _ := NewRenderer(genderRace())
-	rng, ref := rand.New(rand.NewSource(6)), rand.New(rand.NewSource(6))
-	r.Perceive(2, 15, rng)
-	for i := 0; i < Size*Size; i++ {
-		ref.NormFloat64()
-	}
-	if rng.Int63() != ref.Int63() {
-		t.Error("Perceive with noise did not draw exactly one NormFloat64 per pixel")
 	}
 }
 
@@ -166,7 +149,7 @@ func TestPGMAndPNGEncoding(t *testing.T) {
 	s := genderRace()
 	r, _ := NewRenderer(s)
 	k, _ := r.Index([]int{0, 2})
-	g := r.Template(k)
+	g := r.templates[k]
 
 	var pgm bytes.Buffer
 	if err := g.WritePGM(&pgm); err != nil {

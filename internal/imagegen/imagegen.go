@@ -105,18 +105,15 @@ func NewRenderer(s *pattern.Schema) (*Renderer, error) {
 // Schema returns the renderer's schema.
 func (r *Renderer) Schema() *pattern.Schema { return r.schema }
 
-// Index returns the subgroup (template) index of a label vector, the
-// mixed-radix index pattern.SubgroupIndex computes, or false when the
-// labels are not valid for the schema. It does not allocate.
+// Index returns the subgroup (template) index of a label vector, or
+// false when the labels are not valid for the schema. It does not
+// allocate: the labels convert to a pattern in place (pattern.Point
+// would copy them).
 func (r *Renderer) Index(labels []int) (int, bool) {
 	if !r.schema.ValidLabels(labels) {
 		return 0, false
 	}
-	idx := 0
-	for i, v := range labels {
-		idx = idx*r.schema.Attr(i).Cardinality() + v
-	}
-	return idx, true
+	return pattern.SubgroupIndex(r.schema, pattern.Pattern(labels)), true
 }
 
 // Labels returns the label vector of subgroup k. The slice is shared:

@@ -10,6 +10,7 @@ package dataset
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"imagecvg/internal/pattern"
@@ -33,7 +34,7 @@ type Object struct {
 type Dataset struct {
 	schema  *pattern.Schema
 	objects []Object
-	byID    map[ObjectID]int
+	byID    []int32 // position of the object with each ID; -1 for an absent ID
 }
 
 // New builds a dataset whose i-th object gets ID i and the i-th label
@@ -45,10 +46,13 @@ func New(s *pattern.Schema, labels [][]int) (*Dataset, error) {
 	if s == nil {
 		return nil, errors.New("dataset: nil schema")
 	}
+	if len(labels) > math.MaxInt32 {
+		return nil, fmt.Errorf("dataset: %d objects exceed the %d a dataset indexes", len(labels), math.MaxInt32)
+	}
 	d := &Dataset{
 		schema:  s,
 		objects: make([]Object, len(labels)),
-		byID:    make(map[ObjectID]int, len(labels)),
+		byID:    make([]int32, len(labels)),
 	}
 	width := s.NumAttrs()
 	arena := make([]int, len(labels)*width)
@@ -59,7 +63,7 @@ func New(s *pattern.Schema, labels [][]int) (*Dataset, error) {
 		cp := arena[i*width : (i+1)*width : (i+1)*width]
 		copy(cp, l)
 		d.objects[i] = Object{ID: ObjectID(i), Labels: cp}
-		d.byID[ObjectID(i)] = i
+		d.byID[i] = int32(i)
 	}
 	return d, nil
 }
@@ -82,13 +86,14 @@ func (d *Dataset) Size() int { return len(d.objects) }
 // At returns the object at position i in the current order.
 func (d *Dataset) At(i int) Object { return d.objects[i] }
 
-// ByID returns the object with the given ID.
+// ByID returns the object with the given ID, or false when the
+// dataset holds no object with that ID (negative and out-of-range IDs
+// included).
 func (d *Dataset) ByID(id ObjectID) (Object, bool) {
-	i, ok := d.byID[id]
-	if !ok {
+	if id < 0 || id >= ObjectID(len(d.byID)) || d.byID[id] < 0 {
 		return Object{}, false
 	}
-	return d.objects[i], true
+	return d.objects[d.byID[id]], true
 }
 
 // TrueLabels returns the hidden ground-truth labels of an object.
@@ -118,7 +123,7 @@ func (d *Dataset) Shuffle(rng *rand.Rand) {
 		d.objects[i], d.objects[j] = d.objects[j], d.objects[i]
 	})
 	for i, o := range d.objects {
-		d.byID[o.ID] = i
+		d.byID[o.ID] = int32(i)
 	}
 }
 
@@ -196,17 +201,19 @@ func (d *Dataset) Slice(ids []ObjectID) (*Dataset, error) {
 	out := &Dataset{
 		schema:  d.schema,
 		objects: make([]Object, 0, len(ids)),
-		byID:    make(map[ObjectID]int, len(ids)),
 	}
 	for _, id := range ids {
 		o, ok := d.ByID(id)
 		if !ok {
 			return nil, fmt.Errorf("dataset: unknown object %d", id)
 		}
-		if _, dup := out.byID[id]; dup {
+		for ObjectID(len(out.byID)) <= id {
+			out.byID = append(out.byID, -1)
+		}
+		if out.byID[id] >= 0 {
 			return nil, fmt.Errorf("dataset: duplicate object %d", id)
 		}
-		out.byID[id] = len(out.objects)
+		out.byID[id] = int32(len(out.objects))
 		out.objects = append(out.objects, o)
 	}
 	return out, nil

@@ -69,15 +69,17 @@ func TestByIDAndTrueLabels(t *testing.T) {
 	if !ok || o.Labels[0] != 1 {
 		t.Errorf("ByID(1) = %v %v", o, ok)
 	}
-	if _, ok := d.ByID(99); ok {
-		t.Error("ByID(99) must miss")
+	for _, id := range []ObjectID{99, -1, ObjectID(d.Size()), 1 << 40, -1 << 40} {
+		if _, ok := d.ByID(id); ok {
+			t.Errorf("ByID(%d) must miss", id)
+		}
+		if _, ok := d.TrueLabels(id); ok {
+			t.Errorf("TrueLabels(%d) must miss", id)
+		}
 	}
 	l, ok := d.TrueLabels(0)
 	if !ok || l[0] != 0 {
 		t.Errorf("TrueLabels(0) = %v %v", l, ok)
-	}
-	if _, ok := d.TrueLabels(99); ok {
-		t.Error("TrueLabels(99) must miss")
 	}
 }
 
@@ -234,11 +236,27 @@ func TestSlice(t *testing.T) {
 	if sub.Size() != 2 || sub.At(0).ID != 3 || sub.At(1).ID != 0 {
 		t.Errorf("Slice wrong: %v", sub.IDs())
 	}
-	if _, err := d.Slice([]ObjectID{99}); err == nil {
-		t.Error("unknown id: want error")
+	// IDs 1 and 2 lie below the slice's largest ID but are not in it.
+	for _, id := range []ObjectID{1, 2, -1, 4, 1 << 40} {
+		if _, ok := sub.ByID(id); ok {
+			t.Errorf("slice ByID(%d) must miss", id)
+		}
+	}
+	for _, id := range []ObjectID{3, 0} {
+		if o, ok := sub.ByID(id); !ok || o.ID != id {
+			t.Errorf("slice ByID(%d) = %v, %v", id, o, ok)
+		}
+	}
+	for _, ids := range [][]ObjectID{{99}, {-1}, {ObjectID(d.Size())}, {1 << 40}, {0, -1 << 40}} {
+		if _, err := d.Slice(ids); err == nil {
+			t.Errorf("unknown id in %v: want error", ids)
+		}
 	}
 	if _, err := d.Slice([]ObjectID{0, 0}); err == nil {
 		t.Error("duplicate id: want error")
+	}
+	if _, err := sub.Slice([]ObjectID{1}); err == nil {
+		t.Error("id missing from the slice: want error")
 	}
 }
 

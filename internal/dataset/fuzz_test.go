@@ -2,6 +2,8 @@ package dataset
 
 import (
 	"bytes"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -38,4 +40,97 @@ func FuzzReadJSON(f *testing.F) {
 			t.Fatalf("round trip changed size %d -> %d", ds.Size(), again.Size())
 		}
 	})
+}
+
+// FuzzDatasetIndex drives random Shuffle and Slice sequences and checks
+// ByID against a map from each ID the dataset holds to its labels,
+// probing random IDs, negative and far out of range ones included.
+// Slices take a random subset of the held IDs, sometimes with a random
+// ID put in front, and must fail exactly when that ID is not held or
+// repeats one of the subset.
+func FuzzDatasetIndex(f *testing.F) {
+	f.Add(uint8(10), int64(1), []byte{0, 1, 2, 3})
+	f.Add(uint8(0), int64(2), []byte{1, 2, 1})
+	f.Add(uint8(1), int64(3), []byte{2, 0, 1, 1})
+	f.Add(uint8(200), int64(4), []byte{1, 0, 1, 0, 1, 2, 1, 1})
+	f.Fuzz(func(t *testing.T, n uint8, seed int64, ops []byte) {
+		labels := make([][]int, n)
+		ref := make(map[ObjectID]int, n)
+		for i := range labels {
+			labels[i] = []int{i % 2}
+			ref[ObjectID(i)] = i % 2
+		}
+		d := MustNew(GenderSchema(), labels)
+		rng := rand.New(rand.NewSource(seed))
+		for _, op := range ops {
+			switch op % 3 {
+			case 0:
+				d.Shuffle(rng)
+			case 1, 2:
+				held := d.IDs()
+				rng.Shuffle(len(held), func(i, j int) { held[i], held[j] = held[j], held[i] })
+				ids := held[:rng.Intn(len(held)+1)]
+				bad := false
+				if op%3 == 2 {
+					extra := randomID(rng, int(n))
+					_, known := ref[extra]
+					bad = !known || slices.Contains(ids, extra)
+					ids = append([]ObjectID{extra}, ids...)
+				}
+				sub, err := d.Slice(ids)
+				if bad {
+					if err == nil {
+						t.Fatalf("Slice(%v) accepted a missing or repeated ID", ids)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("Slice(%v): %v", ids, err)
+				}
+				kept := make(map[ObjectID]int, len(ids))
+				for _, id := range ids {
+					kept[id] = ref[id]
+				}
+				d, ref = sub, kept
+			}
+			checkIndex(t, d, ref, rng, int(n))
+		}
+		checkIndex(t, d, ref, rng, int(n))
+	})
+}
+
+// randomID returns an ID in [-3, 2n+3), occasionally one far outside.
+func randomID(rng *rand.Rand, n int) ObjectID {
+	switch rng.Intn(8) {
+	case 0:
+		return 1 << 40
+	case 1:
+		return -1 << 40
+	}
+	return ObjectID(rng.Intn(2*n+6) - 3)
+}
+
+// checkIndex compares d against ref: the same size, every position's
+// object found by its ID, and random IDs found exactly when ref holds
+// them.
+func checkIndex(t *testing.T, d *Dataset, ref map[ObjectID]int, rng *rand.Rand, n int) {
+	t.Helper()
+	if d.Size() != len(ref) {
+		t.Fatalf("Size() = %d, reference holds %d", d.Size(), len(ref))
+	}
+	for i := 0; i < d.Size(); i++ {
+		o := d.At(i)
+		got, ok := d.ByID(o.ID)
+		if want, held := ref[o.ID]; !held || !ok || got.ID != o.ID || got.Labels[0] != want {
+			t.Fatalf("position %d: ByID(%d) = %v, %v; reference %d, %v", i, o.ID, got, ok, want, held)
+		}
+	}
+	for range 16 {
+		id := randomID(rng, n)
+		got, ok := d.ByID(id)
+		want, held := ref[id]
+		if ok != held || ok && (got.ID != id || got.Labels[0] != want) {
+			t.Fatalf("ByID(%d) = %v, %v; reference %d, %v", id, got, ok, want, held)
+		}
+	}
 }

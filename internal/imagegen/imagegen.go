@@ -65,18 +65,26 @@ var channelLimits = []int{maxShapes, maxShades, maxMarkers, maxBorders}
 // decodes perceived glyphs back to subgroups by nearest-template
 // matching. Objects of one subgroup share one template, so perception
 // is keyed by the subgroup (template) index, never by the object.
+//
+// Decoding looks only at the varying pixels, where some two templates
+// differ. A pixel shared by every template adds the same amount to the
+// squared distance from any glyph to every template, so dropping it
+// changes neither the nearest template nor which one wins a tie.
 type Renderer struct {
 	schema    *pattern.Schema
 	templates []Glyph // clean glyph per subgroup index
 	labels    [][]int // label vector per subgroup index
-	decoded   []int   // nearest(&templates[k]) per subgroup index k
+	varying   []int   // ascending pixel indices where some two templates differ
+	projected []uint8 // template k at the varying pixels: projected[k*len(varying):][:len(varying)]
+	decoded   []int   // nearest template to template k, per subgroup index k
 }
 
 // NewRenderer validates that the schema fits the available visual
 // channels (at most 4 attributes with cardinalities 6, 6, 4, 3),
-// precomputes the clean template of every subgroup, and decodes each
-// template once: what a noiseless look at subgroup k decodes to is
-// fixed, and the table holds it rather than assuming it is k.
+// precomputes the clean template of every subgroup, restricts the
+// templates to their varying pixels, and decodes each template once:
+// what a noiseless look at subgroup k decodes to is fixed, and the
+// table holds it rather than assuming it is k.
 func NewRenderer(s *pattern.Schema) (*Renderer, error) {
 	if s.NumAttrs() > len(channelLimits) {
 		return nil, fmt.Errorf("imagegen: %d attributes exceed the %d visual channels", s.NumAttrs(), len(channelLimits))
@@ -96,8 +104,21 @@ func NewRenderer(s *pattern.Schema) (*Renderer, error) {
 		r.labels[idx] = []int(pattern.SubgroupAt(s, idx))
 		r.templates[idx] = r.clean(r.labels[idx])
 	}
+	for i := range r.templates[0] {
+		for idx := 1; idx < m; idx++ {
+			if r.templates[idx][i] != r.templates[0][i] {
+				r.varying = append(r.varying, i)
+				break
+			}
+		}
+	}
+	w := len(r.varying)
+	r.projected = make([]uint8, m*w)
 	for idx := range r.templates {
-		r.decoded[idx] = r.nearest(&r.templates[idx])
+		r.project(&r.templates[idx], r.projected[idx*w:(idx+1)*w])
+	}
+	for idx := range r.templates {
+		r.decoded[idx] = r.nearest(r.projected[idx*w : (idx+1)*w])
 	}
 	return r, nil
 }
@@ -144,43 +165,59 @@ func (r *Renderer) clean(labels []int) Glyph {
 // intensity units, 0..255) and returns the subgroup the seen glyph
 // decodes to. It is the primitive crowd workers use. With positive
 // noise and a non-nil rng it draws exactly one NormFloat64 per pixel,
-// in row-major order, perturbs a copy of the template and decodes it;
-// otherwise it draws nothing and returns the template's decoding from
-// the table. With the glyph sizes and channel encodings used here,
-// decoding is exact up to substantial noise, mirroring the paper's
-// observation that these tasks are "easy" for humans.
+// in row-major order, and decodes the perturbed varying pixels of the
+// template; the noise on the other pixels moves the distance to every
+// template alike, so those draws are made and discarded. Otherwise it
+// draws nothing and returns the template's decoding from the table.
+// With the glyph sizes and channel encodings used here, decoding is
+// exact up to substantial noise, mirroring the paper's observation
+// that these tasks are "easy" for humans.
 func (r *Renderer) Perceive(k int, noise float64, rng *rand.Rand) int {
-	if noise > 0 && rng != nil {
-		g := r.templates[k]
-		for i := range g {
-			g[i] = clamp8(float64(g[i]) + rng.NormFloat64()*noise)
-		}
-		return r.nearest(&g)
+	if noise <= 0 || rng == nil {
+		return r.decoded[k]
 	}
-	return r.decoded[k]
+	var buf [Size * Size]uint8
+	seen := buf[:len(r.varying)]
+	t := r.projected[k*len(seen):]
+	next := 0 // the pixel whose draw comes next
+	for j, p := range r.varying {
+		for ; next < p; next++ {
+			rng.NormFloat64()
+		}
+		seen[j] = clamp8(float64(t[j]) + rng.NormFloat64()*noise)
+		next++
+	}
+	for ; next < Size*Size; next++ {
+		rng.NormFloat64()
+	}
+	return r.nearest(seen)
 }
 
-// nearest returns the subgroup index whose clean template is closest
-// to the glyph in L2 distance; the first index wins a tie.
-func (r *Renderer) nearest(g *Glyph) int {
+// project writes the varying pixels of g, in order, into dst.
+func (r *Renderer) project(g *Glyph, dst []uint8) {
+	for j, p := range r.varying {
+		dst[j] = g[p]
+	}
+}
+
+// nearest returns the subgroup index whose projected template is
+// closest to the projected glyph seen in squared L2 distance, exact in
+// integers (at most 256 * 255^2, below 2^24); the first index wins a
+// tie.
+func (r *Renderer) nearest(seen []uint8) int {
 	best, bestDist := 0, math.MaxInt
 	for idx := range r.templates {
-		if d := distance(g, &r.templates[idx]); d < bestDist {
-			best, bestDist = idx, d
+		t := r.projected[idx*len(seen):][:len(seen)]
+		sum := 0
+		for i, v := range seen {
+			d := int(v) - int(t[i])
+			sum += d * d
+		}
+		if sum < bestDist {
+			best, bestDist = idx, sum
 		}
 	}
 	return best
-}
-
-// distance is the squared L2 distance between two glyphs, exact in
-// integers (at most 256 * 255^2, below 2^24).
-func distance(a, b *Glyph) int {
-	sum := 0
-	for i := range a {
-		d := int(a[i]) - int(b[i])
-		sum += d * d
-	}
-	return sum
 }
 
 func clamp8(v float64) uint8 {

@@ -128,7 +128,7 @@ func TestPerceiveNoNoiseEqualsDecode(t *testing.T) {
 	s := genderRace()
 	r, _ := NewRenderer(s)
 	k, _ := r.Index([]int{1, 3})
-	if got := r.Perceive(k, 0, nil); got != k || got != r.nearest(&r.templates[k]) {
+	if got := r.Perceive(k, 0, nil); got != k || got != nearestGlyph(r, &r.templates[k]) {
 		t.Errorf("Perceive = %v, want %v", r.Labels(got), r.Labels(k))
 	}
 }
@@ -138,7 +138,7 @@ func TestTemplatesDistinct(t *testing.T) {
 	r, _ := NewRenderer(s)
 	for i := 0; i < s.NumSubgroups(); i++ {
 		for j := i + 1; j < s.NumSubgroups(); j++ {
-			if distance(&r.templates[i], &r.templates[j]) == 0 {
+			if r.templates[i] == r.templates[j] {
 				t.Errorf("subgroups %d and %d render identically", i, j)
 			}
 		}
@@ -193,17 +193,28 @@ func TestClamp(t *testing.T) {
 }
 
 // BenchmarkPerceive measures one worker's look at one image: a table
-// lookup without noise, a perturbed copy and a decode with it.
+// lookup without noise, a perturbed copy and a decode with it. The
+// gender schema's two templates differ in 4 pixels, gender x race's
+// eight in many more.
 func BenchmarkPerceive(b *testing.B) {
-	s := genderRace()
-	r, _ := NewRenderer(s)
-	for _, noise := range []float64{0, 15} {
-		b.Run(fmt.Sprintf("noise=%g", noise), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				r.Perceive(i%s.NumSubgroups(), noise, rng)
-			}
-		})
+	schemas := []struct {
+		name   string
+		schema *pattern.Schema
+	}{
+		{"genderRace", genderRace()},
+		{"gender", pattern.Binary("gender", "male", "female")},
+	}
+	for _, sc := range schemas {
+		s := sc.schema
+		r, _ := NewRenderer(s)
+		for _, noise := range []float64{0, 15} {
+			b.Run(fmt.Sprintf("schema=%s/noise=%g", sc.name, noise), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(1))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					r.Perceive(i%s.NumSubgroups(), noise, rng)
+				}
+			})
+		}
 	}
 }

@@ -42,8 +42,8 @@
 //     incomplete, or which fails its checksum with nothing but zeros
 //     after it. That is a torn tail: Load drops exactly that frame and
 //     returns every complete round before it, and Open truncates the
-//     file back to the last complete round, preallocating again before
-//     it accepts appends.
+//     file back to the last complete round; the next append
+//     preallocates again, and its fsync makes the truncation durable.
 //   - A crash inside Create can leave a torn header — a zero-length file
 //     or a strict prefix of the magic — which both treat as an empty
 //     journal (resume from round 0); Open rewrites the header.
@@ -128,6 +128,10 @@ func Create(path string) (*Journal, error) {
 		f.Close()
 		return nil, err
 	}
+	if err := j.grow(0); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("journal: preallocate %s: %w", path, err)
+	}
 	if err := SyncDir(filepath.Dir(path)); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("journal: sync directory of %s: %w", path, err)
@@ -140,6 +144,11 @@ func Create(path string) (*Journal, error) {
 // truncates a torn tail left by a crash, and positions the journal to
 // append the next round. A CVGJNL01 journal is first rewritten as
 // CVGJNL02. Corruption beyond a torn tail fails with ErrCorrupt.
+//
+// Open neither preallocates nor syncs: a resume that appends nothing
+// leaves the file at its last frame. The first Append preallocates,
+// and the fsync after it also makes the truncation durable. Until then
+// a crash may bring the cut tail back, which recovery cuts again.
 func Open(path string) (*Journal, []core.RoundRecord, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
@@ -203,6 +212,9 @@ func upgrade(path string, perm os.FileMode, recs []core.RoundRecord) (*Journal, 
 		err = j.start(j.end)
 	}
 	if err == nil {
+		err = j.grow(0)
+	}
+	if err == nil {
 		err = os.Rename(f.Name(), path)
 	}
 	if err == nil {
@@ -219,8 +231,9 @@ func upgrade(path string, perm os.FileMode, recs []core.RoundRecord) (*Journal, 
 // start readies the file for appends once its first j.end bytes hold
 // the journal to keep, size being the file's current size: it cuts
 // everything past j.end (a torn tail, or the unused zeros of an
-// extent), writes the magic into a file without a whole header,
-// preallocates and syncs.
+// extent) and writes the magic into a file without a whole header.
+// It neither preallocates nor syncs: Create and the upgrade grow the
+// file right after, Open leaves that to the first Append.
 func (j *Journal) start(size int64) error {
 	if size > j.end {
 		if err := j.f.Truncate(j.end); err != nil {
@@ -236,9 +249,6 @@ func (j *Journal) start(size int64) error {
 		j.end = int64(len(magic))
 	}
 	j.size = j.end
-	if err := j.grow(0); err != nil {
-		return fmt.Errorf("journal: preallocate %s: %w", j.path, err)
-	}
 	return nil
 }
 

@@ -455,6 +455,102 @@ func TestTornFrameBeforeZerosRecovers(t *testing.T) {
 	reopenAppend(t, path, recs[:len(recs)-1])
 }
 
+// TestOpenLeavesFileAtLastFrame: Open cuts the file to its last
+// complete frame and preallocates nothing, so a resume that appends no
+// round leaves no extent behind, closed or not.
+func TestOpenLeavesFileAtLastFrame(t *testing.T) {
+	recs := sampleRecords()
+	path := filepath.Join(t.TempDir(), "audit.jnl")
+	writeJournal(t, path, recs)
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"closed", clean},
+		{"unclosed extent", withZeros(clean, extent-len(clean))},
+		{"torn tail", append(append([]byte(nil), clean...), 0x40, 0, 0, 0, 0xde, 0xad, 'x')},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			j, replay, err := Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !recordsEqual(replay, recs) {
+				t.Fatalf("Open replayed %d records, want %d", len(replay), len(recs))
+			}
+			fi, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fi.Size() != int64(len(clean)) {
+				t.Errorf("after Open the file is %d bytes, want its last frame's end %d", fi.Size(), len(clean))
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := os.ReadFile(path); err != nil || string(got) != string(clean) {
+				t.Errorf("Open and Close changed the journal (%v)", err)
+			}
+		})
+	}
+}
+
+// TestTornTailThenAppendReloadsEveryRound: after Open cuts a torn tail
+// longer than the frames appended next, a reader of the unclosed file
+// (as after a crash) and of the closed one sees every round.
+func TestTornTailThenAppendReloadsEveryRound(t *testing.T) {
+	recs := sampleRecords()
+	path := filepath.Join(t.TempDir(), "audit.jnl")
+	writeJournal(t, path, recs)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A frame header declaring 4 KiB, followed by 2 KiB of nonzero junk.
+	tail := []byte{0x00, 0x10, 0, 0, 0xde, 0xad, 0xbe, 0xef}
+	for range 2048 {
+		tail = append(tail, 0xa5)
+	}
+	if err := os.WriteFile(path, append(data, tail...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, replay, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !recordsEqual(replay, recs) {
+		t.Fatalf("Open replayed %d records, want %d", len(replay), len(recs))
+	}
+	want := append([]core.RoundRecord(nil), recs...)
+	for r := len(recs); r < len(recs)+2; r++ {
+		rec := core.RoundRecord{Round: r, Points: []dataset.ObjectID{dataset.ObjectID(r)}, PointAnswers: [][]int{{1}}}
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, rec)
+	}
+	loaded, err := Load(path)
+	if err != nil {
+		t.Fatalf("Load of the unclosed journal: %v", err)
+	}
+	if !recordsEqual(loaded, want) {
+		t.Fatalf("unclosed journal reloads %d records, want %d", len(loaded), len(want))
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if loaded, err = Load(path); err != nil || !recordsEqual(loaded, want) {
+		t.Fatalf("closed journal reloads %d records (%v), want %d", len(loaded), err, len(want))
+	}
+}
+
 // TestPreallocatedExtents: an open journal holds a whole preallocated
 // extent that reads as the end of the log, and Close cuts it back to
 // the magic plus the frames.

@@ -239,10 +239,15 @@
 // The invariant all of it preserves: RNG consumption per committed HIT
 // is byte-for-byte what the allocating code drew — the scratch worker
 // draw replays rand.Perm's exact loop, perception draws one NormFloat64
-// per pixel in the same order (none without noise), and slip
-// corruption keeps its conditional second Intn. Any optimization that changes a draw
+// per varying pixel (where some two templates differ) in ascending
+// pixel order (none without noise), and slip corruption keeps its
+// conditional second Intn. Any optimization that changes a draw
 // sequence changes every golden artifact downstream; the golden suite
-// and the lockstep conformance matrix pin this. The complementary
+// and the lockstep conformance matrix pin this. The one sanctioned
+// exception is a versioned transcript change: imagegen.PerceptionVersion
+// 2 stopped drawing for the pixels every template shares, a test pins
+// that each look's answer distribution did not move, and the crowd
+// goldens name the version in their header. The complementary
 // ownership rule: scratch slices handed to aggregators or the response
 // log are read-only for the duration of the call, and anything a
 // caller may retain (aggregated labels, batch answer slices) is

@@ -8,21 +8,25 @@ package crowd
 // and a digest of the answers, the ledger snapshot and the raw
 // ResponseLog, plus the next Int63 of the platform RNG and of one
 // worker's RNG — so a change in how many draws perception makes fails
-// the pin even when every answer still agrees.
+// the pin even when every answer still agrees. Its first line names the
+// imagegen.PerceptionVersion it was written under.
 //
 // Regenerate with: go test ./internal/crowd -run TestPerceptionPin -update
 
 import (
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"imagecvg/internal/core"
 	"imagecvg/internal/dataset"
+	"imagecvg/internal/imagegen"
 	"imagecvg/internal/pattern"
 )
 
@@ -167,9 +171,24 @@ func TestPerceptionPin(t *testing.T) {
 			}
 		}
 	}
-	got := strings.Join(lines, "\n") + "\n"
-	path := filepath.Join("testdata", "perception.golden")
+	checkPerceptionGolden(t, filepath.Join("testdata", "perception.golden"), lines)
+}
+
+// perceptionHeader is the first line of a golden whose answers depend
+// on the perception transcript.
+var perceptionHeader = fmt.Sprintf("perception v%d", imagegen.PerceptionVersion)
+
+// checkPerceptionGolden compares lines against the golden at path,
+// after its perception header: a golden written under another
+// transcript version fails on the version, not on a line it moved.
+// With -update it rewrites the golden first.
+func checkPerceptionGolden(t *testing.T, path string, lines []string) {
+	t.Helper()
+	got := perceptionHeader + "\n" + strings.Join(lines, "\n") + "\n"
 	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -177,6 +196,15 @@ func TestPerceptionPin(t *testing.T) {
 	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	header, _, _ := strings.Cut(string(want), "\n")
+	if header != perceptionHeader {
+		version := "v1 (no perception header)"
+		if v, ok := strings.CutPrefix(header, "perception "); ok {
+			version = v
+		}
+		t.Fatalf("%s: golden is perception %s, code is v%d; regenerate with -update",
+			path, version, imagegen.PerceptionVersion)
 	}
 	if got != string(want) {
 		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
@@ -186,5 +214,64 @@ func TestPerceptionPin(t *testing.T) {
 			}
 		}
 		t.Fatalf("golden has %d lines, run produced %d", len(wl), len(gl))
+	}
+}
+
+// TestWarmRejectsUnreproducedAnswers: a journal does not record the
+// perception version it was written under, so a resume is safe only
+// because Warm re-derives every journaled answer on the fresh platform.
+// A journal whose answers the platform does not reproduce, as one
+// written under another transcript may be, fails with
+// ErrJournalMismatch instead of resuming on a diverged crowd.
+func TestWarmRejectsUnreproducedAnswers(t *testing.T) {
+	s := perceptionSchemas()[2]
+	d := perceptionDataset(s, 102)
+	groups := perceptionGroups(s)
+	newPlatform := func() *Platform {
+		cfg := DefaultConfig(7002)
+		cfg.Profile = DefaultProfile(12)
+		cfg.Profile.PerceptNoise = 60
+		p, err := NewPlatform(d, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	ids := d.IDs()
+	sets := []core.SetRequest{
+		{IDs: ids[:6], Group: groups[0]},
+		{IDs: ids[6:12], Group: groups[len(groups)-1], Reverse: true},
+	}
+	points := ids[:3]
+	p := newPlatform()
+	setAnswers, err := p.SetQueryBatch(sets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pointAnswers, err := p.PointQueryBatch(points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal := func() []core.RoundRecord {
+		labels := make([][]int, len(pointAnswers))
+		for i, l := range pointAnswers {
+			labels[i] = slices.Clone(l)
+		}
+		return []core.RoundRecord{
+			{Round: 0, Sets: sets, SetAnswers: slices.Clone(setAnswers)},
+			{Round: 1, Points: points, PointAnswers: labels},
+		}
+	}
+	if err := newPlatform().Warm(journal()); err != nil {
+		t.Fatalf("warm from the platform's own answers: %v", err)
+	}
+	flipSet := journal()
+	flipSet[0].SetAnswers[1] = !flipSet[0].SetAnswers[1]
+	flipPoint := journal()
+	flipPoint[1].PointAnswers[2][0] = (flipPoint[1].PointAnswers[2][0] + 1) % s.Attr(0).Cardinality()
+	for i, recs := range [][]core.RoundRecord{flipSet, flipPoint} {
+		if err := newPlatform().Warm(recs); !errors.Is(err, core.ErrJournalMismatch) {
+			t.Errorf("warm from a journal with one answer of round %d changed: err = %v, want ErrJournalMismatch", i, err)
+		}
 	}
 }

@@ -9,7 +9,8 @@ package crowd
 // holds one line per (instance, stack, predicted-set shape) cell:
 // the result's String() (less the constant group prefix) plus a
 // digest of the ledger snapshot, the governor spend and the raw
-// response log.
+// response log. Noisy perception feeds every answer, so the golden
+// starts with the perception version header.
 //
 // Regenerate with: go test ./internal/crowd -run TestSequentialClassifierPin -update
 
@@ -18,7 +19,6 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -101,27 +101,5 @@ func TestSequentialClassifierPin(t *testing.T) {
 			}
 		}
 	}
-	got := strings.Join(lines, "\n") + "\n"
-	path := filepath.Join("testdata", "sequential_classifier.golden")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
-	}
-	if got != string(want) {
-		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-		for i := 0; i < len(gl) && i < len(wl); i++ {
-			if gl[i] != wl[i] {
-				t.Fatalf("line %d diverged from the golden:\n got  %s\n want %s", i+1, gl[i], wl[i])
-			}
-		}
-		t.Fatalf("golden has %d lines, run produced %d", len(wl), len(gl))
-	}
+	checkPerceptionGolden(t, filepath.Join("testdata", "sequential_classifier.golden"), lines)
 }

@@ -160,18 +160,28 @@ func (r *Renderer) clean(labels []int) Glyph {
 	return g
 }
 
+// PerceptionVersion names the RNG transcript of a noisy Perceive: how
+// many NormFloat64 values a look draws, and for which pixels. Goldens
+// that pin crowd answers record it in their header, so a change in the
+// transcript fails on the version before any line diff. Version 1 drew
+// one value per pixel, all 256 in row-major order; version 2 draws one
+// per varying pixel. Each look's answer has the same distribution under
+// both: the decode reads only the varying pixels, and v1's draws on the
+// other pixels are independent of theirs.
+const PerceptionVersion = 2
+
 // Perceive simulates looking at the glyph of subgroup k through
 // additive Gaussian pixel noise of the given standard deviation (in
 // intensity units, 0..255) and returns the subgroup the seen glyph
 // decodes to. It is the primitive crowd workers use. With positive
-// noise and a non-nil rng it draws exactly one NormFloat64 per pixel,
-// in row-major order, and decodes the perturbed varying pixels of the
-// template; the noise on the other pixels moves the distance to every
-// template alike, so those draws are made and discarded. Otherwise it
-// draws nothing and returns the template's decoding from the table.
-// With the glyph sizes and channel encodings used here, decoding is
-// exact up to substantial noise, mirroring the paper's observation
-// that these tasks are "easy" for humans.
+// noise and a non-nil rng it draws exactly one NormFloat64 per varying
+// pixel, in ascending pixel order, and decodes the perturbed varying
+// pixels of the template. Noise on a pixel shared by every template
+// moves the distance to every template alike, so no value is drawn for
+// it. Otherwise it draws nothing and returns the template's decoding
+// from the table. With the glyph sizes and channel encodings used here,
+// decoding is exact up to substantial noise, mirroring the paper's
+// observation that these tasks are "easy" for humans.
 func (r *Renderer) Perceive(k int, noise float64, rng *rand.Rand) int {
 	if noise <= 0 || rng == nil {
 		return r.decoded[k]
@@ -179,16 +189,8 @@ func (r *Renderer) Perceive(k int, noise float64, rng *rand.Rand) int {
 	var buf [Size * Size]uint8
 	seen := buf[:len(r.varying)]
 	t := r.projected[k*len(seen):]
-	next := 0 // the pixel whose draw comes next
-	for j, p := range r.varying {
-		for ; next < p; next++ {
-			rng.NormFloat64()
-		}
+	for j := range seen {
 		seen[j] = clamp8(float64(t[j]) + rng.NormFloat64()*noise)
-		next++
-	}
-	for ; next < Size*Size; next++ {
-		rng.NormFloat64()
 	}
 	return r.nearest(seen)
 }

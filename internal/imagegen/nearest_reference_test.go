@@ -42,10 +42,23 @@ func nearestGlyph(r *Renderer, g *Glyph) int {
 	return r.nearest(seen)
 }
 
-// referencePerceive is the perception of the glyph-per-object design:
-// perturb a copy of the object's clean glyph, one NormFloat64 per
-// pixel, and decode it with referenceNearest.
+// referencePerceive is perception v2 on whole glyphs: perturb a copy
+// of template k, one NormFloat64 per varying pixel in ascending pixel
+// order, and decode it with referenceNearest.
 func referencePerceive(r *Renderer, k int, noise float64, rng *rand.Rand) int {
+	g := r.templates[k]
+	if noise > 0 && rng != nil {
+		for _, p := range r.varying {
+			g[p] = clamp8(float64(g[p]) + rng.NormFloat64()*noise)
+		}
+	}
+	return referenceNearest(r, &g)
+}
+
+// referencePerceiveV1 is perception v1, the transcript before
+// PerceptionVersion 2: perturb a copy of template k, one NormFloat64
+// per pixel in row-major order, and decode it with referenceNearest.
+func referencePerceiveV1(r *Renderer, k int, noise float64, rng *rand.Rand) int {
 	g := r.templates[k]
 	if noise > 0 && rng != nil {
 		for i := range g {
@@ -95,7 +108,8 @@ func midpoint(a, b *Glyph, offsets []byte) Glyph {
 
 // FuzzNearestMatchesReference checks the integer decode against the
 // float64 reference on glyphs between two templates of random schemas,
-// and Perceive against the reference perception at random noise.
+// and Perceive against the whole-glyph v2 reference at random noise,
+// including the number of values each draws: one per varying pixel.
 func FuzzNearestMatchesReference(f *testing.F) {
 	// Shapes 0 and 1 at shade 120 differ by 0 or 120 per pixel, so
 	// their exact midpoint ties and the first template must win.
@@ -123,7 +137,7 @@ func FuzzNearestMatchesReference(f *testing.F) {
 			t.Fatalf("Perceive(%d, noise %d) = %d, reference = %d", ka, noise, got, want)
 		}
 		if rng.Int63() != ref.Int63() {
-			t.Fatal("Perceive drew a different number of values than the reference")
+			t.Fatalf("Perceive drew a different number of values than the reference (%d varying pixels)", len(r.varying))
 		}
 	})
 }
@@ -174,4 +188,73 @@ func TestVaryingPixelsAreExact(t *testing.T) {
 	if r := fuzzRenderer(t, []byte{0}); len(r.varying) != 4 {
 		t.Errorf("gender schema varies in %d pixels, want 4", len(r.varying))
 	}
+}
+
+// TestPerceptionV2KeepsV1Distribution checks that perception v2 moved
+// only the RNG stream, not the noise model. For every template of the
+// gender and gender x race schemas at noise 15, 60 and 90, it tallies
+// what fixed-seed looks decode to under v1 (referencePerceiveV1) and v2
+// (Perceive), and requires every outcome's two frequencies to agree
+// within |z| <= 4.5 of a two-sample binomial test. With 8000 looks per
+// template and side, the gender schema's 11.5% error rate at noise 90
+// fails once it moves by 2.3 points.
+func TestPerceptionV2KeepsV1Distribution(t *testing.T) {
+	const (
+		looks = 8000
+		maxZ  = 4.5
+	)
+	schemas := []struct {
+		name   string
+		schema *pattern.Schema
+	}{
+		{"gender", pattern.Binary("gender", "male", "female")},
+		{"genderRace", genderRace()},
+	}
+	worst := 0.0
+	for si, sc := range schemas {
+		r, err := NewRenderer(sc.schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := len(r.templates)
+		for ni, noise := range []float64{15, 60, 90} {
+			seed := int64(1000*si + 10*ni)
+			v1, v2 := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed+1))
+			wrong1, wrong2 := 0, 0
+			for k := 0; k < m; k++ {
+				c1, c2 := make([]int, m), make([]int, m)
+				for i := 0; i < looks; i++ {
+					c1[referencePerceiveV1(r, k, noise, v1)]++
+					c2[r.Perceive(k, noise, v2)]++
+				}
+				for j := range c1 {
+					z := binomialZ(c1[j], c2[j], looks)
+					worst = max(worst, math.Abs(z))
+					if math.Abs(z) > maxZ {
+						t.Errorf("%s noise %g: template %d decodes to %d %d times under v1, %d under v2 (z = %.2f)",
+							sc.name, noise, k, j, c1[j], c2[j], z)
+					}
+				}
+				wrong1 += looks - c1[k]
+				wrong2 += looks - c2[k]
+			}
+			t.Logf("%s noise %g: wrong %.2f%% (v1) vs %.2f%% (v2)", sc.name, noise,
+				100*float64(wrong1)/float64(m*looks), 100*float64(wrong2)/float64(m*looks))
+			// Two tallies of all-correct looks would agree trivially.
+			if noise == 90 && wrong1 < m*looks/100 {
+				t.Errorf("%s noise 90: v1 wrong only %d of %d looks; the test has nothing to compare", sc.name, wrong1, m*looks)
+			}
+		}
+	}
+	t.Logf("max |z| = %.2f", worst)
+}
+
+// binomialZ is the two-sample z statistic for equal proportions: a and
+// b successes out of n trials each, under the pooled proportion.
+func binomialZ(a, b, n int) float64 {
+	p := float64(a+b) / float64(2*n)
+	if p == 0 || p == 1 {
+		return 0
+	}
+	return float64(a-b) / math.Sqrt(2*float64(n)*p*(1-p))
 }

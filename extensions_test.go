@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"imagecvg/internal/core"
 )
 
 func TestPlanRepairFromAudit(t *testing.T) {
@@ -138,8 +140,11 @@ func TestNewRepairPlanFacade(t *testing.T) {
 
 // TestTranscriptReplayConcurrentEngine records intersectional audits on
 // the concurrent engine and replays each transcript with the same
-// settings: lockstep rounds must record and replay in request order, so
-// every replay reproduces the original's MUPs and task count.
+// settings and no retries: lockstep rounds must record and replay in
+// request order, so every replay reproduces the original's MUPs and
+// task count. A retried recording over a flaky oracle must replay too:
+// a retry re-posts only the unanswered suffix of its round, so the
+// recorder sees the queries of a failure-free run, in the same order.
 func TestTranscriptReplayConcurrentEngine(t *testing.T) {
 	schema, err := NewSchema(
 		Attribute{Name: "a", Values: []string{"a0", "a1", "a2"}},
@@ -152,23 +157,32 @@ func TestTranscriptReplayConcurrentEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for seed := int64(0); seed < 20; seed++ {
-		rec := NewRecordingOracle(NewTruthOracle(ds))
-		orig, err := NewAuditor(rec, 50, 25).WithSeed(seed).WithParallelism(4).AuditIntersectional(ds.IDs(), schema)
-		if err != nil {
-			t.Fatal(err)
-		}
-		replay := NewReplayOracle(rec.Records())
-		again, err := NewAuditor(replay, 50, 25).WithSeed(seed).WithParallelism(4).AuditIntersectional(ds.IDs(), schema)
-		if err != nil {
-			t.Fatalf("seed %d: replay failed: %v", seed, err)
-		}
-		if !reflect.DeepEqual(again.MUPs, orig.MUPs) || again.Tasks != orig.Tasks {
-			t.Errorf("seed %d: replay diverged: MUPs %v tasks %d, recorded MUPs %v tasks %d",
-				seed, again.MUPs, again.Tasks, orig.MUPs, orig.Tasks)
-		}
-		if n := replay.Remaining(); n != 0 {
-			t.Errorf("seed %d: replay left %d recorded answers unused", seed, n)
+	for _, retried := range []bool{false, true} {
+		for seed := int64(0); seed < 20; seed++ {
+			var o Oracle = NewTruthOracle(ds)
+			var policy RetryPolicy
+			if retried {
+				o = &core.FlakyOracle{Inner: o, FailEvery: 5}
+				policy = RetryPolicy{MaxAttempts: 4}
+			}
+			rec := NewRecordingOracle(o)
+			orig, err := NewAuditor(rec, 50, 25).WithSeed(seed).WithParallelism(4).
+				WithRetry(policy).AuditIntersectional(ds.IDs(), schema)
+			if err != nil {
+				t.Fatalf("retried %v, seed %d: %v", retried, seed, err)
+			}
+			replay := NewReplayOracle(rec.Records())
+			again, err := NewAuditor(replay, 50, 25).WithSeed(seed).WithParallelism(4).AuditIntersectional(ds.IDs(), schema)
+			if err != nil {
+				t.Fatalf("retried %v, seed %d: replay failed: %v", retried, seed, err)
+			}
+			if !reflect.DeepEqual(again.MUPs, orig.MUPs) || again.Tasks != orig.Tasks {
+				t.Errorf("retried %v, seed %d: replay diverged: MUPs %v tasks %d, recorded MUPs %v tasks %d",
+					retried, seed, again.MUPs, again.Tasks, orig.MUPs, orig.Tasks)
+			}
+			if n := replay.Remaining(); n != 0 {
+				t.Errorf("retried %v, seed %d: replay left %d recorded answers unused", retried, seed, n)
+			}
 		}
 	}
 }

@@ -79,10 +79,10 @@ func NewBatchAdapter(o Oracle, parallelism int) BatchOracle {
 
 // AsBatchOracle returns o itself when it already implements
 // BatchOracle natively, and otherwise lifts it with NewBatchAdapter.
-// The middlewares (cache, trust, journal, governor, recorder) lift
-// their inner oracle once, before their first round; the only pool in
-// a stack is the adapter at its bottom, over a base oracle that does
-// not batch. Given such a stack, AsBatchOracle walks down to that
+// The middlewares (cache, trust, journal, governor, recorder, retry)
+// lift their inner oracle once, before their first round; the only
+// pool in a stack is the adapter at its bottom, over a base oracle
+// that does not batch. Given such a stack, AsBatchOracle walks down to that
 // adapter and widens it to parallelism (never narrowing), so the
 // caller's width reaches the base through every layer.
 func AsBatchOracle(o Oracle, parallelism int) BatchOracle {

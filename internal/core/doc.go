@@ -36,11 +36,11 @@
 //     counts and result bytes match the sequential engine exactly for
 //     order-independent oracles at any parallelism.
 //   - RetryPolicy (retry.go) re-posts transiently failing HITs with
-//     jittered backoff drawn from the audit's RNG. Over a natively
-//     batching inner oracle a retry re-posts only the unanswered
-//     suffix of the round and splices the answers, so a
-//     partial prefix a budget governor already committed — and paid —
-//     is never charged twice.
+//     jittered backoff drawn from the audit's RNG. A round-only
+//     middleware like the rest: a retry keeps the round's answered
+//     prefix, posts the failed query alone and then the rest of the
+//     round, so a partial prefix a budget governor already committed —
+//     and paid — is never charged twice. Attempts count per query.
 //   - GroupCoverageRounds (rounds.go) issues each tree level as one
 //     SetQueryBatch round, so even the order-dependent crowd simulator
 //     reproduces identical audits at every parallelism setting.

@@ -146,18 +146,36 @@ func TestParallelResolutionPropagatesErrors(t *testing.T) {
 	}
 }
 
+// retryProbeDataset is the gender × race dataset of the retry probes:
+// 15 objects in every subgroup.
+func retryProbeDataset() *dataset.Dataset {
+	s := genderRaceSchema()
+	counts := make([]int, s.NumSubgroups())
+	for i := range counts {
+		counts[i] = 15
+	}
+	return dataset.MustFromCounts(s, counts, rand.New(rand.NewSource(75)))
+}
+
+// retryProbeAudit runs the retry probes' audit over o: an
+// Intersectional-Coverage audit of d (n 10, tau 20) that retries each
+// query up to 3 times.
+func retryProbeAudit(o Oracle, d *dataset.Dataset, par int, lockstep bool) (*IntersectionalResult, error) {
+	return IntersectionalCoverage(o, d.IDs(), 10, 20, d.Schema(), MultipleOptions{
+		Rng:         rand.New(rand.NewSource(10)),
+		Parallelism: par,
+		Lockstep:    lockstep,
+		Retry:       RetryPolicy{MaxAttempts: 3},
+	})
+}
+
 // TestResolutionHonorsRetryPolicy: a retry budget must absorb
 // transient failures in the resolution phase too — not just in the
 // leaf audits — sequentially and in parallel, with verdicts matching
 // ground truth. A transcript recorder over the flaky oracle must not
 // change that, and records each answered query once.
 func TestResolutionHonorsRetryPolicy(t *testing.T) {
-	s := genderRaceSchema()
-	counts := make([]int, s.NumSubgroups())
-	for i := range counts {
-		counts[i] = 15
-	}
-	d := dataset.MustFromCounts(s, counts, rand.New(rand.NewSource(75)))
+	d := retryProbeDataset()
 	for _, tc := range []struct {
 		par      int
 		recorded bool
@@ -168,11 +186,7 @@ func TestResolutionHonorsRetryPolicy(t *testing.T) {
 			rec = NewRecordingOracle(o)
 			o = rec
 		}
-		res, err := IntersectionalCoverage(o, d.IDs(), 10, 20, s, MultipleOptions{
-			Rng:         rand.New(rand.NewSource(10)),
-			Parallelism: tc.par,
-			Retry:       RetryPolicy{MaxAttempts: 3},
-		})
+		res, err := retryProbeAudit(o, d, tc.par, false)
 		if err != nil {
 			t.Fatalf("parallelism %d, recorded %v: %v (retries should absorb transient failures end to end)", tc.par, tc.recorded, err)
 		}
@@ -181,6 +195,47 @@ func TestResolutionHonorsRetryPolicy(t *testing.T) {
 			if got, want := len(rec.Records()), res.Multiple.Tasks+res.ResolutionTasks; got != want {
 				t.Errorf("parallelism %d: %d records, want one per answered query (%d)", tc.par, got, want)
 			}
+		}
+	}
+}
+
+// TestRetryMatrixAcrossStacks: a retry policy absorbs transient
+// failures through every middleware stack NewStack builds, at every
+// width. Attempts count per query, so a round wider than the failure
+// period keeps retrying while its answered prefix grows. Journal and
+// trust run in lockstep, as the server runs them. The cells at width 2
+// and 8 share FlakyOracle's call counter across a pool, so which query
+// fails depends on scheduling. They pass because a failed query is
+// retried on its own: two lone tries in a row take consecutive calls,
+// and FailEvery 6 never fails both.
+func TestRetryMatrixAcrossStacks(t *testing.T) {
+	d := retryProbeDataset()
+	stacks := []struct {
+		name string
+		cfg  func() StackConfig
+	}{
+		{"plain", func() StackConfig { return StackConfig{} }},
+		{"cache", func() StackConfig { return StackConfig{Cache: true} }},
+		{"budget", func() StackConfig { return StackConfig{Budget: &Budget{MaxHITs: 1 << 20}} }},
+		{"journal", func() StackConfig { return StackConfig{Journal: &memJournal{}} }},
+		{"trust", func() StackConfig {
+			return StackConfig{Trust: &TrustConfig{Probes: GoldProbes(d, pattern.SubgroupGroups(d.Schema()), 3, 1)}}
+		}},
+	}
+	for _, st := range stacks {
+		for _, par := range []int{1, 2, 8} {
+			t.Run(fmt.Sprintf("%s/P=%d", st.name, par), func(t *testing.T) {
+				cfg := st.cfg()
+				stack, err := NewStack(&FlakyOracle{Inner: NewTruthOracle(d), FailEvery: 6}, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := retryProbeAudit(stack.Top, d, par, cfg.Journal != nil || cfg.Trust != nil)
+				if err != nil {
+					t.Fatalf("%v (retries should absorb transient failures through the stack)", err)
+				}
+				checkAgainstGroundTruth(t, d, res, 20)
+			})
 		}
 	}
 }

@@ -145,9 +145,9 @@ func multipleCoverageParallel(o Oracle, ids []dataset.ObjectID, n, tau, c int, g
 		return nil, err
 	}
 	// One retry wrapper, when enabled, serves the sampling batch and
-	// every lockstep round: a transiently failing query is re-posted
-	// inside its round (over a native batch oracle only the unanswered
-	// suffix is), so one bad HIT never fails the whole round. Jitter is
+	// every lockstep round: inside its round a transient failure retries
+	// the failed query on its own, then posts the rest, and the round
+	// fails only once one query has failed MaxAttempts times. Jitter is
 	// drawn from the parent RNG, which no audit task touches.
 	retried := withRetry(ctx, o, opts.Retry, opts.Rng, opts.Parallelism)
 

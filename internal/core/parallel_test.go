@@ -189,12 +189,15 @@ func TestRetryPreservesNativeBatching(t *testing.T) {
 			counter.batchRounds, counter.singles)
 	}
 
-	// Over a plain oracle the same wrapper retries per request.
+	// Over a plain oracle the wrapper lifts it into rounds on a pool of
+	// the audit's width; each failure retries the failed id alone, then
+	// the rest of the round, and every id divisible by 5 fails exactly
+	// once.
 	flaky := &firstAttemptFlaky{inner: NewTruthOracle(d), tried: map[dataset.ObjectID]bool{}}
 	bo = AsBatchOracle(withRetry(context.Background(), flaky, RetryPolicy{MaxAttempts: 2}, rand.New(rand.NewSource(2)), 8), 8)
 	ids := d.IDs()[:30]
 	if _, err := bo.PointQueryBatch(ids); err != nil {
-		t.Errorf("per-request retry over plain oracle: %v", err)
+		t.Errorf("retry over plain oracle: %v", err)
 	}
 	want := 0
 	for _, id := range ids {
@@ -210,8 +213,9 @@ func TestRetryPreservesNativeBatching(t *testing.T) {
 // firstAttemptFlaky is a plain (non-batching) oracle whose failures
 // are a function of the request, not of call order: the first attempt
 // of each point query on an id divisible by 5 fails transiently and
-// every later attempt succeeds, so two attempts always suffice however
-// a concurrent pool interleaves the calls.
+// every later attempt succeeds, so every retry answers at least the
+// request that failed before, however a concurrent pool interleaves
+// the calls.
 type firstAttemptFlaky struct {
 	inner Oracle
 

@@ -32,34 +32,27 @@ func (p RetryPolicy) Enabled() bool { return p.MaxAttempts > 1 }
 // serves a whole audit; its lock guards the jitter RNG, which is drawn
 // on retries only and sets a sleep, never an answer.
 //
-// retryOracle is itself a BatchOracle: over a natively batching inner
-// oracle a transient failure re-posts only the unanswered suffix of
-// the round and splices the answers onto the committed prefix — a
-// prefix a budget governor already admitted and charged stays
-// committed and is never re-posted, so a retried round never
-// double-charges (and preserves the inner's request-order determinism,
-// since the committed prefix plus re-posted suffix replays the same
-// request sequence). Over a plain oracle each request retries
-// individually: rounds run through one adapter over the retryOracle
-// itself, built at the audit's width. A RecordingOracle is looked
-// through when choosing: over recorders above a plain oracle each
-// request still retries individually, so a failed HIT costs one
-// re-post instead of its round, and every answered HIT is recorded.
+// Like every middleware it lifts its inner oracle once and forwards
+// only rounds; single queries are one-element rounds. A transient
+// failure keeps the round's answered prefix and retries the query that
+// failed on its own, then posts the rest of the round: a prefix a
+// budget governor already admitted and charged, or a recorder already
+// wrote down, is never posted again, so a retried round never
+// double-charges and replays the same request sequence as a
+// failure-free one.
 type retryOracle struct {
-	inner  Oracle
+	inner  BatchOracle
 	policy RetryPolicy
 	ctx    context.Context
-	pool   BatchOracle // the adapter over r; nil when inner batches
 
 	mu  sync.Mutex // guards rng
 	rng *rand.Rand
 }
 
 // withRetry wraps o unless the policy is disabled; parallelism is the
-// audit's width, the pool width of per-request retries over a plain
-// oracle. The context bounds the backoff waits: a cancelled ctx aborts
-// a sleeping retry immediately with ctx.Err() instead of posting
-// another attempt.
+// audit's width, which reaches the worker pool at the bottom of o. The
+// context bounds the backoff waits: a cancelled ctx aborts a sleeping
+// retry immediately with ctx.Err() instead of posting another attempt.
 func withRetry(ctx context.Context, o Oracle, policy RetryPolicy, rng *rand.Rand, parallelism int) Oracle {
 	if !policy.Enabled() {
 		return o
@@ -67,115 +60,79 @@ func withRetry(ctx context.Context, o Oracle, policy RetryPolicy, rng *rand.Rand
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	r := &retryOracle{inner: o, policy: policy, ctx: ctx, rng: rng}
-	if retriesPerRequest(o) {
-		r.pool = NewBatchAdapter(r, parallelism)
-	}
-	return r
+	return &retryOracle{inner: AsBatchOracle(o, parallelism), policy: policy, ctx: ctx, rng: rng}
 }
 
-// retriesPerRequest reports whether o, seen through any recorders,
-// is a plain oracle or the adapter lifting one.
-func retriesPerRequest(o Oracle) bool {
+// do runs attempt until it succeeds or fails for good, backing off
+// with jitter between attempts. attempt reports how many requests of
+// the round are answered so far; the first unanswered one is the query
+// that failed. Attempts count per query, not per round: the round
+// gives up only once one query has failed MaxAttempts times, so it
+// ends after at most len(reqs)·MaxAttempts attempts. Only transient
+// failures retry. The backoff selects on the context, so a cancelled
+// job stops promptly instead of sleeping through its backoff and
+// posting another attempt.
+func (r *retryOracle) do(attempt func() (answered int, err error)) error {
+	failed, tries := -1, 0
 	for {
-		rec, ok := o.(*RecordingOracle)
-		if !ok {
-			break
-		}
-		o = rec.inner()
-	}
-	_, adapted := o.(*batchAdapter)
-	_, batches := o.(BatchOracle)
-	return adapted || !batches
-}
-
-// do runs fn up to MaxAttempts times, backing off with jitter between
-// attempts, and keeps only transient failures retryable. The backoff
-// selects on the context, so a cancelled job stops promptly instead of
-// sleeping through its backoff and posting another attempt.
-func (r *retryOracle) do(fn func() error) error {
-	var err error
-	for attempt := 0; attempt < r.policy.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			r.mu.Lock()
-			jitter := 0.5 + r.rng.Float64()
-			r.mu.Unlock()
-			if d := time.Duration(float64(r.policy.Backoff) * jitter); d > 0 {
-				timer := time.NewTimer(d)
-				select {
-				case <-r.ctx.Done():
-					timer.Stop()
-					return r.ctx.Err()
-				case <-timer.C:
-				}
-			}
-			if e := r.ctx.Err(); e != nil {
-				return e
-			}
-		}
-		if err = fn(); err == nil || !errors.Is(err, ErrTransient) {
+		answered, err := attempt()
+		if err == nil || !errors.Is(err, ErrTransient) {
 			return err
 		}
-	}
-	return err
-}
-
-// SetQuery implements Oracle.
-func (r *retryOracle) SetQuery(ids []dataset.ObjectID, g pattern.Group) (bool, error) {
-	var ans bool
-	err := r.do(func() error {
-		var e error
-		ans, e = r.inner.SetQuery(ids, g)
-		return e
-	})
-	return ans, err
-}
-
-// ReverseSetQuery implements Oracle.
-func (r *retryOracle) ReverseSetQuery(ids []dataset.ObjectID, g pattern.Group) (bool, error) {
-	var ans bool
-	err := r.do(func() error {
-		var e error
-		ans, e = r.inner.ReverseSetQuery(ids, g)
-		return e
-	})
-	return ans, err
-}
-
-// PointQuery implements Oracle.
-func (r *retryOracle) PointQuery(id dataset.ObjectID) ([]int, error) {
-	var labels []int
-	err := r.do(func() error {
-		var e error
-		labels, e = r.inner.PointQuery(id)
-		return e
-	})
-	return labels, err
-}
-
-// SetQueryBatch implements BatchOracle; see the type comment for the
-// native-vs-lifted retry semantics. Each attempt re-posts only the
-// suffix the previous attempts left unanswered: a partial prefix the
-// inner batch committed (and a budget governor charged) splices into
-// the accumulated answers instead of being posted — and paid — again.
-func (r *retryOracle) SetQueryBatch(reqs []SetRequest) ([]bool, error) {
-	if r.pool != nil {
-		return r.pool.SetQueryBatch(reqs)
-	}
-	bo := r.inner.(BatchOracle)
-	var answers []bool
-	err := r.do(func() error {
-		part, e := bo.SetQueryBatch(reqs[len(answers):])
-		if rest := len(reqs) - len(answers); len(part) > rest {
-			part = part[:rest]
+		if answered != failed {
+			failed, tries = answered, 0
 		}
-		answers = append(answers, part...)
-		if e == nil && len(answers) < len(reqs) {
+		if tries++; tries >= r.policy.MaxAttempts {
+			return err
+		}
+		r.mu.Lock()
+		jitter := 0.5 + r.rng.Float64()
+		r.mu.Unlock()
+		if d := time.Duration(float64(r.policy.Backoff) * jitter); d > 0 {
+			timer := time.NewTimer(d)
+			select {
+			case <-r.ctx.Done():
+				timer.Stop()
+				return r.ctx.Err()
+			case <-timer.C:
+			}
+		}
+		if e := r.ctx.Err(); e != nil {
+			return e
+		}
+	}
+}
+
+// retryRound answers one round through post, the inner oracle's batch
+// method, and keeps every answered prefix. A retry posts the query
+// that failed alone and, once it is answered, the rest of the round:
+// the failed query is retried as a single HIT, the way a deployment
+// re-posts one expired assignment, and the requests after it are not
+// posted again with each of its tries.
+func retryRound[Q, A any](r *retryOracle, reqs []Q, post func([]Q) ([]A, error)) ([]A, error) {
+	var answers []A
+	postNext := func(todo []Q) error {
+		part, e := post(todo)
+		answers = append(answers, part[:min(len(part), len(todo))]...)
+		if e == nil && len(part) < len(todo) {
 			// A short answer slice without an error breaks the
 			// BatchOracle contract; surface it rather than retry.
-			return errShortBatch(len(answers), len(reqs))
+			return errShortBatch(len(part), len(todo))
 		}
 		return e
+	}
+	retrying := false
+	err := r.do(func() (int, error) {
+		todo := reqs[len(answers):]
+		if retrying && len(todo) > 1 {
+			if e := postNext(todo[:1]); e != nil {
+				return len(answers), e
+			}
+			todo = todo[1:]
+		}
+		retrying = true
+		e := postNext(todo)
+		return len(answers), e
 	})
 	if err != nil && len(answers) == 0 {
 		return nil, err
@@ -183,28 +140,29 @@ func (r *retryOracle) SetQueryBatch(reqs []SetRequest) ([]bool, error) {
 	return answers, err
 }
 
-// PointQueryBatch implements BatchOracle; see SetQueryBatch.
+// SetQueryBatch implements BatchOracle.
+func (r *retryOracle) SetQueryBatch(reqs []SetRequest) ([]bool, error) {
+	return retryRound(r, reqs, r.inner.SetQueryBatch)
+}
+
+// PointQueryBatch implements BatchOracle.
 func (r *retryOracle) PointQueryBatch(ids []dataset.ObjectID) ([][]int, error) {
-	if r.pool != nil {
-		return r.pool.PointQueryBatch(ids)
-	}
-	bo := r.inner.(BatchOracle)
-	var labels [][]int
-	err := r.do(func() error {
-		part, e := bo.PointQueryBatch(ids[len(labels):])
-		if rest := len(ids) - len(labels); len(part) > rest {
-			part = part[:rest]
-		}
-		labels = append(labels, part...)
-		if e == nil && len(labels) < len(ids) {
-			return errShortBatch(len(labels), len(ids))
-		}
-		return e
-	})
-	if err != nil && len(labels) == 0 {
-		return nil, err
-	}
-	return labels, err
+	return retryRound(r, ids, r.inner.PointQueryBatch)
+}
+
+// SetQuery implements Oracle as a one-element round.
+func (r *retryOracle) SetQuery(ids []dataset.ObjectID, g pattern.Group) (bool, error) {
+	return setOne(r, ids, g, false)
+}
+
+// ReverseSetQuery implements Oracle as a one-element round.
+func (r *retryOracle) ReverseSetQuery(ids []dataset.ObjectID, g pattern.Group) (bool, error) {
+	return setOne(r, ids, g, true)
+}
+
+// PointQuery implements Oracle as a one-element round.
+func (r *retryOracle) PointQuery(id dataset.ObjectID) ([]int, error) {
+	return pointOne(r, id)
 }
 
 // errShortBatch reports a batch that returned fewer answers than

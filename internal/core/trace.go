@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -38,10 +39,10 @@ type QueryRecord struct {
 // debugging, and posterior quality analysis. It answers rounds, and
 // appends each round's committed answers in request order under one
 // lock, so a transcript of a concurrent audit is as deterministic as
-// its round sequence; single queries are one-element rounds. Under a
-// RetryPolicy over a plain inner oracle each request retries as its own
-// round, so records then land in arrival order. Safe for concurrent
-// use.
+// its round sequence; single queries are one-element rounds. A retry
+// above it never re-posts an answered query, so a retried audit
+// records the queries of a failure-free one, in the same order. Safe
+// for concurrent use.
 type RecordingOracle struct {
 	// Inner is the recorded oracle. Set it before the first query.
 	Inner Oracle
@@ -152,12 +153,13 @@ func cloneIDs(ids []dataset.ObjectID) []dataset.ObjectID {
 }
 
 // ReplayOracle re-answers a recorded transcript positionally: the
-// i-th query of the re-run gets the i-th recorded answer, after a
-// consistency check on kind and set size. It lets a recorded audit be
-// re-executed deterministically — e.g. to debug algorithm changes
-// against a paid crowd transcript without paying again. Rounds take
-// their answers in request order under one lock, matching the
-// RecordingOracle; single queries are one-element rounds.
+// i-th query of the re-run gets the i-th recorded answer, after
+// checking that the re-run asks the recorded query (kind, object IDs
+// and group). It lets a recorded audit be re-executed
+// deterministically — e.g. to debug algorithm changes against a paid
+// crowd transcript without paying again. Rounds take their answers in
+// request order under one lock, matching the RecordingOracle; single
+// queries are one-element rounds.
 type ReplayOracle struct {
 	records []QueryRecord
 	next    int
@@ -175,20 +177,20 @@ func NewReplayOracle(records []QueryRecord) *ReplayOracle {
 // queries than the transcript holds.
 var ErrTranscriptExhausted = errors.New("core: transcript exhausted")
 
-// ErrTranscriptMismatch is returned when the re-run's query shape
-// diverges from the recording.
+// ErrTranscriptMismatch is returned when the re-run's query diverges
+// from the recording.
 var ErrTranscriptMismatch = errors.New("core: transcript mismatch")
 
-// take consumes the next record after checking its shape. Callers hold
-// r.mu.
-func (r *ReplayOracle) take(kind QueryKind, size int) (QueryRecord, error) {
+// take consumes the next record after checking that it asked the same
+// query: kind, object IDs in order, and group. Callers hold r.mu.
+func (r *ReplayOracle) take(kind QueryKind, ids []dataset.ObjectID, group string) (QueryRecord, error) {
 	if r.next >= len(r.records) {
 		return QueryRecord{}, ErrTranscriptExhausted
 	}
 	rec := r.records[r.next]
-	if rec.Kind != kind || len(rec.IDs) != size {
-		return QueryRecord{}, fmt.Errorf("%w: query %d is %s/%d, recorded %s/%d",
-			ErrTranscriptMismatch, r.next, kind, size, rec.Kind, len(rec.IDs))
+	if rec.Kind != kind || rec.Group != group || !slices.Equal(rec.IDs, ids) {
+		return QueryRecord{}, fmt.Errorf("%w: query %d is %s/%d %q, recorded %s/%d %q",
+			ErrTranscriptMismatch, r.next, kind, len(ids), group, rec.Kind, len(rec.IDs), rec.Group)
 	}
 	r.next++
 	return rec, nil
@@ -205,7 +207,7 @@ func (r *ReplayOracle) SetQueryBatch(reqs []SetRequest) ([]bool, error) {
 		if req.Reverse {
 			kind = KindReverse
 		}
-		rec, err := r.take(kind, len(req.IDs))
+		rec, err := r.take(kind, req.IDs, req.Group.String())
 		if err != nil {
 			return answers[:i], err
 		}
@@ -220,7 +222,7 @@ func (r *ReplayOracle) PointQueryBatch(ids []dataset.ObjectID) ([][]int, error) 
 	defer r.mu.Unlock()
 	labels := make([][]int, len(ids))
 	for i := range ids {
-		rec, err := r.take(KindPoint, 1)
+		rec, err := r.take(KindPoint, ids[i:i+1], "")
 		if err != nil {
 			return labels[:i], err
 		}

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"imagecvg/internal/dataset"
 )
 
 func TestRecordingOracleTranscript(t *testing.T) {
@@ -108,6 +110,28 @@ func TestReplayMismatchAndExhaustion(t *testing.T) {
 	}
 	if _, err := replay.SetQuery(d.IDs(), g); !errors.Is(err, ErrTranscriptExhausted) {
 		t.Errorf("err = %v, want exhausted", err)
+	}
+
+	// Two queries of the same kind and size, replayed swapped: the
+	// shape matches, the objects do not.
+	d4 := binaryDataset(t, []int{0, 1, 1, 0})
+	ids := d4.IDs()
+	rec = NewRecordingOracle(NewTruthOracle(d4))
+	for _, set := range [][]dataset.ObjectID{ids[:2], ids[2:]} {
+		if _, err := rec.SetQuery(set, female(d4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	replay = NewReplayOracle(rec.Records())
+	if _, err := replay.SetQuery(ids[2:], female(d4)); !errors.Is(err, ErrTranscriptMismatch) {
+		t.Errorf("swapped queries: err = %v, want mismatch", err)
+	}
+	// Same objects, another group.
+	if _, err := replay.SetQuery(ids[:2], dataset.Male(d4.Schema())); !errors.Is(err, ErrTranscriptMismatch) {
+		t.Errorf("other group: err = %v, want mismatch", err)
+	}
+	if _, err := replay.SetQuery(ids[:2], female(d4)); err != nil {
+		t.Errorf("recorded query: %v", err)
 	}
 }
 

@@ -66,12 +66,17 @@ func TestQuickAggregateLabelsPlurality(t *testing.T) {
 func TestQuickDawidSkeneBeatsCoinFlipWorkers(t *testing.T) {
 	// Property: with three 85 %-accurate workers and two coin
 	// flippers, Dawid-Skene recovers well above coin-flip accuracy.
-	// The 70 % bar leaves ample room for unlucky draws (the estimator
-	// averages ~90 % here) while still failing decisively if the EM
-	// breaks.
+	// Over 20000 instances it recovered a mean of 54.9 of 60 tasks
+	// with a standard deviation of 2.63 per instance, and a lower tail
+	// down to 25 (EM settles on swapped labels now and then), so no
+	// per-instance bar is safe. The bar is on the mean of the 25
+	// instances, whose standard deviation is 2.63/5 = 0.53: 51.5 sits
+	// over 6 of them below 54.9, and an EM that breaks lands far under
+	// it (coin flips recover 30).
+	const tasks, workers, instances = 60, 5, 25
+	var recovered []int
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		const tasks, workers = 60, 5
 		truth := make([]int, tasks)
 		for i := range truth {
 			truth[i] = rng.Intn(2)
@@ -100,10 +105,19 @@ func TestQuickDawidSkeneBeatsCoinFlipWorkers(t *testing.T) {
 				correct++
 			}
 		}
-		return correct >= tasks*7/10
+		recovered = append(recovered, correct)
+		return true
 	}
-	cfg := &quick.Config{MaxCount: 25}
+	cfg := &quick.Config{MaxCount: instances, Rand: rand.New(rand.NewSource(20240613))}
 	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
+		t.Fatal(err)
+	}
+	sum := 0
+	for _, c := range recovered {
+		sum += c
+	}
+	if mean := float64(sum) / float64(len(recovered)); mean < 51.5 {
+		t.Errorf("recovered a mean of %.2f of %d tasks over %d instances %v, want at least 51.5",
+			mean, tasks, len(recovered), recovered)
 	}
 }

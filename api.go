@@ -398,7 +398,7 @@ func (a *Auditor) WithJournal(j RoundJournal, replay []RoundRecord) *Auditor {
 // SimulatedCrowd.AnswerFeed and SimulatedCrowd.Screener.
 //
 // WithTrust implies WithLockstep: the probe schedule rides the
-// committed round sequence, which only the lockstep scheduler makes a
+// committed round sequence, which only the lockstep engine makes a
 // pure function of committed answers — and with it, trust scores and
 // screening decisions are byte-identical at every WithParallelism
 // value. It returns an error for an invalid policy or probe battery
@@ -508,9 +508,9 @@ func (a *Auditor) AuditIntersectional(ids []ObjectID, s *Schema) (*Intersectiona
 // as rounds of HITs: the precision sample as one point-query round,
 // the Label phase as bounded rounds with a deterministic early stop,
 // and the Partition phase as clipped reverse-set rounds. With
-// WithParallelism above 1 (or WithLockstep) each round commits through
-// the deterministic lockstep scheduler, making the full result
-// bit-identical at every width even through the order-dependent
+// WithParallelism above 1 (or WithLockstep) each round commits as one
+// batch in canonical order on the lockstep engine, making the full
+// result bit-identical at every width even through the order-dependent
 // simulated crowd. Otherwise Label and Partition rounds hold one query
 // each and every query posts on its own, in the paper's sequential
 // order. Both modes give the same results for order-independent

@@ -254,7 +254,7 @@ func BenchmarkTrialRunnerLatencyParallel8(b *testing.B) { benchmarkTrialRunnerLa
 
 // benchmarkMultipleLatency measures ONE Multiple-Coverage audit under
 // per-HIT latency at the chosen engine width — the wall-clock the
-// lockstep scheduler must deliver: its virtual rounds commit as
+// lockstep engine must deliver: its rounds commit as
 // batches whose round-trips overlap across the pool, so determinism
 // does not cost the concurrency win.
 func benchmarkMultipleLatency(b *testing.B, parallelism int) {
@@ -286,7 +286,7 @@ func benchmarkMultipleLatency(b *testing.B, parallelism int) {
 func BenchmarkMultipleLatencySequential(b *testing.B) { benchmarkMultipleLatency(b, 1) }
 
 // BenchmarkMultipleLatencyLockstep4 runs the identical audit on the
-// lockstep scheduler at parallelism 4 (>= 2x wall-clock win with
+// lockstep engine at parallelism 4 (>= 2x wall-clock win with
 // bit-identical results at any width).
 func BenchmarkMultipleLatencyLockstep4(b *testing.B) { benchmarkMultipleLatency(b, 4) }
 

@@ -55,7 +55,7 @@ func main() {
 	fmt.Println("crowd cost:            ", crowd.Cost())
 
 	// Both gender groups at once through the concurrent engine — this
-	// is the audit the lockstep scheduler makes reproducible: this
+	// is the audit the lockstep engine makes reproducible: this
 	// block prints the same verdicts and cost for every WithParallelism
 	// value above 1.
 	crowd.ResetCost()

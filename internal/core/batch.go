@@ -36,13 +36,13 @@ type SetRequest struct {
 // committed); the BudgetedOracle governor uses the prefix form to hand
 // back the answers the remaining budget could still afford, the
 // adapter over a plain oracle returns the requests answered before the
-// lowest failing one, and the lockstep commit path delivers such a
-// prefix to its tasks instead of discarding paid answers.
+// lowest failing one, and the round loop delivers such a prefix to
+// its walks instead of discarding paid answers.
 //
 // Callers own the request slices: an implementation reads reqs (and
 // ids) during the call and keeps no reference to the slice afterwards.
 // Copy what must outlive the call, as the journal's records do; the
-// lockstep commit and the one-element rounds of single queries reuse
+// round loop and the one-element rounds of single queries reuse
 // their round slices.
 //
 // Oracles whose answers depend only on the request (TruthOracle, any
@@ -133,7 +133,7 @@ func (a *batchAdapter) width() int {
 }
 
 // One-element rounds for setOne and pointOne. A BatchOracle never
-// keeps a round's request slice past the call (the lockstep commit
+// keeps a round's request slice past the call (the round loop
 // reuses its round slice the same way), so they are recycled.
 var (
 	setRounds   = sync.Pool{New: func() any { return new([1]SetRequest) }}

@@ -28,9 +28,9 @@ import (
 
 // ErrBudgetExhausted is returned by a BudgetedOracle for every query it
 // refuses to post. Audit algorithms catch it and return partial
-// results; it never aborts a round midway without settling every parked
-// query (the lockstep commit path delivers the committed prefix and
-// fails the rest uniformly).
+// results; it never aborts a round midway without settling every query
+// in it (the round loop delivers the committed prefix and fails the
+// rest uniformly).
 var ErrBudgetExhausted = errors.New("core: crowd budget exhausted")
 
 // HITKind names the three crowd task types for budget accounting and

@@ -34,19 +34,18 @@ import (
 //     re-enter the queue at the back, so the committed results are the
 //     same for any clip width.
 //
-// The walk has two modes, picked by runTasks:
+// The walk has the two modes of the round loop (lockstep.go):
 //
 //   - Sequential (Parallelism <= 1 without Lockstep): Label and
 //     Partition rounds hold one query each, and every round posts its
 //     queries one at a time, in order, through the audit's oracle. The
 //     oracle stack sees the paper's sequential query sequence.
-//   - Lockstep (Lockstep, or Parallelism > 1): every round commits
-//     through the canonical lockstep scheduler as one BatchOracle
-//     batch in issue order. Round composition is a pure function of
+//   - Lockstep (Lockstep, or Parallelism > 1): every round posts
+//     straight to the batch oracle as one batch, in the order its
+//     queries were issued. Round composition is a pure function of
 //     previously committed answers — never of Parallelism — so the
-//     full ClassifierResult is bit-identical at every Parallelism
-//     value even through order-dependent oracles like the crowd
-//     Platform.
+//     full ClassifierResult is bit-identical at every Parallelism value
+//     even through order-dependent oracles like the crowd Platform.
 //
 // Both modes commit in the same order, so for order-independent
 // oracles Strategy, Count, Exact and the task breakdown are the same in
@@ -57,94 +56,87 @@ import (
 // in canonical order, translated into a partial ClassifierResult with
 // Exhausted set.
 
-// classifierEngine posts one phase round at a time through runTasks,
-// one task per query. gov, when non-nil, is the budget governor
-// already wrapped around o; lockstep rounds read its headroom to narrow
-// speculative rounds.
+// classifierEngine posts the walk's phase rounds through its engine.
+// gov, when non-nil, is the budget governor already wrapped around the
+// oracle; lockstep rounds read its headroom to narrow speculative
+// rounds.
 type classifierEngine struct {
-	o           Oracle
-	gov         *BudgetedOracle
-	ctx         context.Context
-	lockstep    bool
-	parallelism int
-	g           pattern.Group
+	engine
+	gov *BudgetedOracle
+	g   pattern.Group
 
 	// Per-round scratch, reused across rounds so a one-query round
-	// costs no more per HIT than a direct oracle call: the round's
-	// inputs (ids, sets), outputs (labels, answers, ok) and the task
-	// closures that fill them. Each task writes only its own index,
-	// and the walk reads a round's outputs after runTasks returns and
-	// before the next round is posted.
-	ids     []dataset.ObjectID
-	sets    [][]dataset.ObjectID
+	// costs no more per HIT than a direct oracle call: sequential
+	// mode's answers, and the Partition round's nodes and requests.
+	// The walk reads a round's answers before it posts the next round.
 	labels  [][]int
 	answers []bool
-	ok      []bool
 	batch   []*node
-	point   func(i int, audit Oracle) error
-	reverse func(i int, audit Oracle) error
+	reqs    []SetRequest
 }
 
 // newClassifierEngine builds the walk's engine for group g.
 func newClassifierEngine(o Oracle, gov *BudgetedOracle, ctx context.Context, lockstep bool, parallelism int, g pattern.Group) *classifierEngine {
-	e := &classifierEngine{o: o, gov: gov, ctx: ctx, lockstep: lockstep, parallelism: parallelism, g: g}
-	e.point = func(i int, audit Oracle) error {
-		var err error
-		e.labels[i], err = audit.PointQuery(e.ids[i])
-		e.ok[i] = err == nil
-		return err
-	}
-	e.reverse = func(i int, audit Oracle) error {
-		var err error
-		e.answers[i], err = audit.ReverseSetQuery(e.sets[i], e.g)
-		e.ok[i] = err == nil
-		return err
-	}
-	return e
+	return &classifierEngine{engine: newEngine(ctx, o, lockstep, parallelism), gov: gov, g: g}
 }
 
 // roundCap bounds the queries of one speculative round: one in
 // sequential mode, the governor's headroom for the query shape in
 // lockstep mode.
 func (e *classifierEngine) roundCap(kind HITKind, setSize int) int {
-	if !e.lockstep && e.parallelism <= 1 {
+	if e.bo == nil {
 		return 1
 	}
 	return headroomOf(e.gov, kind, setSize)
 }
 
-// run posts one round of n tasks. ok[i] marks answers that committed;
-// the returned error is the round's first failure in task order.
-func (e *classifierEngine) run(n int, task func(i int, audit Oracle) error) error {
-	if cap(e.ok) < n {
-		e.ok = make([]bool, n)
+// pointRound posts one round of point queries over ids and returns the
+// labels of its committed prefix: all of them, unless err is set. The
+// labels are valid until the next round.
+func (e *classifierEngine) pointRound(ids []dataset.ObjectID) ([][]int, error) {
+	if e.bo != nil {
+		if err := e.ctx.Err(); err != nil {
+			return nil, err
+		}
+		return e.bo.PointQueryBatch(ids)
 	}
-	e.ok = e.ok[:n]
-	clear(e.ok)
-	return runTasks(e.ctx, e.o, e.lockstep, e.parallelism, n, task)
-}
-
-// pointRound posts one round of point queries over ids; the labels and
-// ok flags are valid until the next round.
-func (e *classifierEngine) pointRound(ids []dataset.ObjectID) (labels [][]int, ok []bool, err error) {
-	e.ids = ids
-	if cap(e.labels) < len(ids) {
-		e.labels = make([][]int, len(ids))
+	e.labels = e.labels[:0]
+	for _, id := range ids {
+		err := e.ctx.Err()
+		var labels []int
+		if err == nil {
+			labels, err = e.o.PointQuery(id)
+		}
+		if err != nil {
+			return e.labels, err
+		}
+		e.labels = append(e.labels, labels)
 	}
-	e.labels = e.labels[:len(ids)]
-	err = e.run(len(ids), e.point)
-	return e.labels, e.ok, err
+	return e.labels, nil
 }
 
 // reverseRound posts one round of reverse set queries ("is anyone
-// here NOT in g?") over e.sets; see pointRound.
-func (e *classifierEngine) reverseRound() (answers []bool, ok []bool, err error) {
-	if cap(e.answers) < len(e.sets) {
-		e.answers = make([]bool, len(e.sets))
+// here NOT in g?"); see pointRound.
+func (e *classifierEngine) reverseRound(reqs []SetRequest) ([]bool, error) {
+	if e.bo != nil {
+		if err := e.ctx.Err(); err != nil {
+			return nil, err
+		}
+		return e.bo.SetQueryBatch(reqs)
 	}
-	e.answers = e.answers[:len(e.sets)]
-	err = e.run(len(e.sets), e.reverse)
-	return e.answers, e.ok, err
+	e.answers = e.answers[:0]
+	for _, r := range reqs {
+		err := e.ctx.Err()
+		var ans bool
+		if err == nil {
+			ans, err = e.o.ReverseSetQuery(r.IDs, r.Group)
+		}
+		if err != nil {
+			return e.answers, err
+		}
+		e.answers = append(e.answers, ans)
+	}
+	return e.answers, nil
 }
 
 // labelCleanRounds is the Label function of Algorithm 5 in bounded
@@ -161,8 +153,7 @@ func (e *classifierEngine) reverseRound() (answers []bool, ok []bool, err error)
 func (e *classifierEngine) labelCleanRounds(predicted []dataset.ObjectID, sampled map[dataset.ObjectID]bool, truePos, tau int) (verified int, exactClean bool, tasks int, exhausted bool, err error) {
 	verified = truePos
 	exactClean = true
-	var round [][]int // uncommitted answers of the current round
-	var roundOK []bool
+	var round [][]int // committed answers of the current round
 	var roundIDs []dataset.ObjectID
 	pos := 0 // next uncommitted answer within the round
 	for i := 0; i < len(predicted); i++ {
@@ -185,13 +176,13 @@ func (e *classifierEngine) labelCleanRounds(predicted []dataset.ObjectID, sample
 					roundIDs = append(roundIDs, predicted[j])
 				}
 			}
-			round, roundOK, err = e.pointRound(roundIDs)
+			round, err = e.pointRound(roundIDs)
 			if err != nil && !errors.Is(err, ErrBudgetExhausted) {
 				return verified, exactClean, tasks, false, err
 			}
 			pos = 0
 		}
-		if !roundOK[pos] {
+		if pos >= len(round) {
 			return verified, exactClean, tasks, true, nil
 		}
 		labels := round[pos]
@@ -237,18 +228,18 @@ func (e *classifierEngine) partitionCleanRounds(predicted []dataset.ObjectID, n,
 		// remaining need if all confirm, within the round cap.
 		need := stopAt - confirmed
 		room := e.roundCap(HITReverseSet, n)
-		batch, sets := e.batch[:0], e.sets[:0]
+		batch, reqs := e.batch[:0], e.reqs[:0]
 		sum := 0
 		for t := q.front(); t != nil; t = q.next(t) {
 			batch = append(batch, t)
-			sets = append(sets, predicted[t.b:t.e])
+			reqs = append(reqs, SetRequest{IDs: predicted[t.b:t.e], Group: e.g, Reverse: true})
 			sum += t.size()
 			if sum >= need || len(batch) >= room {
 				break
 			}
 		}
-		e.batch, e.sets = batch, sets
-		answers, oks, err := e.reverseRound()
+		e.batch, e.reqs = batch, reqs
+		answers, err := e.reverseRound(reqs)
 		if err != nil && !errors.Is(err, ErrBudgetExhausted) {
 			return confirmed, false, tasks, false, err
 		}
@@ -257,7 +248,7 @@ func (e *classifierEngine) partitionCleanRounds(predicted []dataset.ObjectID, n,
 			if !t.inQueue {
 				continue // answered for free by its left sibling
 			}
-			if !oks[idx] {
+			if idx >= len(answers) {
 				// Budget exhausted: the walk stops at the first
 				// uncommitted answer.
 				return confirmed, false, tasks, true, nil

@@ -44,17 +44,18 @@ type ClassifierOptions struct {
 	// lockstep mode: the precision sample posts as one point-query
 	// round, the Label phase as bounded rounds with a deterministic
 	// early stop, and the Partition phase as clipped reverse-set rounds,
-	// each round committing through the lockstep scheduler as one
-	// canonical BatchOracle batch in issue order; Parallelism bounds the
-	// pool that lifts non-batching oracles into those batches. Round
-	// composition never depends on Parallelism, so with a native
+	// each round posted straight to the batch oracle as one canonical
+	// BatchOracle batch, in the order its queries were issued;
+	// Parallelism bounds the pool that lifts non-batching oracles into
+	// those batches. Round composition never depends on Parallelism,
+	// so with a native
 	// BatchOracle answering in request order (the crowd Platform,
 	// TruthOracle) the full ClassifierResult is bit-identical at every
 	// Parallelism value above 1, and equals the sequential mode's
 	// exactly for order-independent oracles. Zero or one runs the walk
 	// in sequential mode: one query per Label and Partition round, and
 	// every query posted on its own, in the paper's order. The oracle
-	// must be safe for concurrent use.
+	// must be safe for concurrent use when it does not batch natively.
 	Parallelism int
 	// Lockstep runs the walk in lockstep mode at Parallelism <= 1 too;
 	// it matters only there (see MultipleOptions.Lockstep).
@@ -199,15 +200,13 @@ func ClassifierCoverage(o Oracle, ids, predicted []dataset.ObjectID, n, tau int,
 	for i, idx := range opts.Rng.Perm(len(predicted))[:sampleSize] {
 		sample[i] = predicted[idx]
 	}
-	labels, oks, err := e.pointRound(sample)
+	labels, err := e.pointRound(sample)
 	sampled := make(map[dataset.ObjectID]bool, sampleSize)
 	truePos := 0
-	for i, id := range sample {
-		if !oks[i] {
-			break // the round failed here: settle on the answered prefix
-		}
+	// A failed round settles on its answered prefix.
+	for i := 0; i < len(labels) && i < len(sample); i++ {
 		res.SampleTasks++
-		sampled[id] = true
+		sampled[sample[i]] = true
 		if g.Matches(labels[i]) {
 			truePos++
 		}

@@ -30,9 +30,9 @@
 //     in-flight collapsing; errors are never cached. Like every
 //     middleware it lifts its inner oracle once and forwards only
 //     rounds; single queries are one-element rounds.
-//   - MultipleOptions.Parallelism (parallel.go) runs Multiple-Coverage
-//     with super-group audits and covered-penalty re-audits as
-//     concurrent lockstep tasks and batched sampling. Verdicts, task
+//   - MultipleOptions.Parallelism runs Multiple-Coverage with
+//     super-group audits and covered-penalty re-audits as walks that
+//     share lockstep rounds, and batched sampling. Verdicts, task
 //     counts and result bytes match the sequential engine exactly for
 //     order-independent oracles at any parallelism.
 //   - RetryPolicy (retry.go) re-posts transiently failing HITs with
@@ -44,27 +44,30 @@
 //   - GroupCoverageRounds (rounds.go) issues each tree level as one
 //     SetQueryBatch round, so even the order-dependent crowd simulator
 //     reproduces identical audits at every parallelism setting.
-//   - The lockstep scheduler (lockstep.go) extends that guarantee to
-//     the whole multi-group engine: concurrent audits advance in
-//     virtual rounds whose queries commit as one BatchOracle round in
-//     canonical (super-group, member, query-sequence) order, so even
-//     order-dependent oracles produce bit-identical verdicts, task
-//     counts and spend at every Parallelism value.
+//   - The round loop (lockstep.go) extends that guarantee to the
+//     whole multi-group engine. Algorithm 1 is a step machine
+//     (groupWalk: next hands out queries, apply consumes answers), and
+//     one loop posts the next query of every live walk as one
+//     BatchOracle round in canonical (super-group, member,
+//     query-sequence) order, so even order-dependent oracles produce
+//     bit-identical verdicts, task counts and spend at every
+//     Parallelism value. No walk or round runs in a goroutine of its
+//     own. In sequential mode the same walks run one after another,
+//     each query posted alone.
 //   - Classifier-Coverage (classifier_parallel.go) is one round walk
-//     with two modes, and runTasks (lockstep.go) picks between them
-//     for it and for the Intersectional resolution phase. In lockstep
-//     mode (Lockstep, or Parallelism > 1) it comes under the same
-//     contract: the precision sample posts as one point-query round,
-//     the Label phase as bounded rounds of max(1, tau - verified)
-//     point queries whose answers commit in predicted-set order with a
-//     deterministic early stop (stop at the first index where verified
-//     >= tau, discard later in-flight answers), and the Partition
-//     phase as clipped reverse-set rounds with the sibling inference
-//     applied at commit time. Round composition is a pure function of
-//     committed answers — never of the pool width. In sequential mode
-//     (Parallelism <= 1) the same walk posts one query per Label and
-//     Partition round and every query on its own, in the paper's
-//     order.
+//     with the engine's two modes. In lockstep mode (Lockstep, or
+//     Parallelism > 1) it comes under the same contract: the precision
+//     sample posts as one point-query round, the Label phase as
+//     bounded rounds of max(1, tau - verified) point queries whose
+//     answers commit in predicted-set order with a deterministic early
+//     stop (stop at the first index where verified >= tau, discard
+//     later in-flight answers), and the Partition phase as clipped
+//     reverse-set rounds with the sibling inference applied at commit
+//     time, each round posted straight to the batch oracle. Round
+//     composition is a pure function of committed answers — never of
+//     the pool width. In sequential mode (Parallelism <= 1) the same
+//     walk posts one query per Label and Partition round and every
+//     query on its own, in the paper's order.
 //
 // The determinism contract rests on two engines: the sequential
 // reference (Parallelism <= 1) and lockstep rounds (Parallelism > 1;
@@ -86,10 +89,9 @@
 //     round engine's.
 //
 // Every audit algorithm in the package honors the contract —
-// Multiple-, Intersectional- and Classifier-Coverage all batch their
-// rounds through the lockstep scheduler. One asymmetry remains by
-// design:
-// the batched engines count only committed queries in their task
+// Multiple-, Intersectional- and Classifier-Coverage all post their
+// lockstep rounds through the round loop's one commit path. One
+// asymmetry remains by design: the batched engines count only committed queries in their task
 // tallies (matching the sequential engines exactly), while speculative
 // in-flight answers a deterministic early stop discards were still
 // paid HITs — the ledger, not the task count, carries that over-issue.
@@ -99,8 +101,8 @@
 // the BudgetedOracle middleware, which charges committed queries one at
 // a time in canonical order and admits only the affordable prefix of a
 // batch — the one middleware exercising the partial-prefix clause of
-// the BatchOracle contract, which the lockstep commit path delivers to
-// its tasks instead of discarding paid answers. Every audit algorithm
+// the BatchOracle contract, which the round loop delivers to its
+// walks instead of discarding paid answers. Every audit algorithm
 // translates the governor's ErrBudgetExhausted into a deterministic
 // partial result (Exhausted flags, per-group Settled markers,
 // best-effort bounds from committed answers; Intersectional keeps
@@ -212,21 +214,20 @@
 //
 // # Performance
 //
-// The audit inner loop — park a query, commit a round, draw workers,
-// perceive a glyph, aggregate — is allocation-free at steady state.
-// The profiling workflow that keeps it that way:
+// The audit inner loop — hand out a walk's query, commit a round, draw
+// workers, perceive a glyph, aggregate — is allocation-free at steady
+// state apart from the tree nodes of Algorithm 1, one allocation per
+// split. The profiling workflow that keeps it that way:
 //
 //	cvgbench -exp audit-throughput                # HITs/sec + allocs/HIT
 //	cvgbench -exp audit-throughput -cpuprofile p -memprofile p
 //	go tool pprof p/audit-throughput.mem.pprof
 //	go test -bench AuditThroughput -benchmem .    # the gate CI watches
 //
-// What is pooled, and where: the lockstep scheduler (lockstep.go)
-// ping-pongs the parked-round slice through a spare backing array,
-// reuses the set/point split, the SetRequest round and the point-id
-// round across commits, and recycles one lockstepQuery slot per task
-// (safe because a parked task blocks until its round delivers, so at
-// most one query per task is ever in flight). The caching oracle
+// What is pooled, and where: the round loop (lockstep.go) reuses one
+// round slice across commits, and each walk reuses its own request
+// slice; a walk hands the initial blocks out with a cursor, so only a
+// block that answers yes gets a tree node. The caching oracle
 // (cache.go) builds keys into reused byte scratch and looks them up
 // via Go's allocation-free map[string(bytes)] form, materializing a
 // string only when a key is stored; batch rounds steal the scratch for

@@ -28,11 +28,13 @@ type ExecutionTrace struct {
 	Nodes []TraceNode
 }
 
-func (t *ExecutionTrace) record(nd *node, answer, inferred bool) {
-	tn := TraceNode{B: nd.b, E: nd.e, Answer: answer, Inferred: inferred}
-	if nd.parent != nil {
+// record appends the query over [b, e), a child of parent (nil for
+// an initial block).
+func (t *ExecutionTrace) record(b, e int, parent *node, answer, inferred bool) {
+	tn := TraceNode{B: b, E: e, Answer: answer, Inferred: inferred}
+	if parent != nil {
 		tn.HasParent = true
-		tn.ParentB, tn.ParentE = nd.parent.b, nd.parent.e
+		tn.ParentB, tn.ParentE = parent.b, parent.e
 	}
 	t.Nodes = append(t.Nodes, tn)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -84,109 +85,202 @@ func GroupCoverage(o Oracle, ids []dataset.ObjectID, n, tau int, g pattern.Group
 }
 
 // GroupCoverageOpt is GroupCoverage with ablation options; see
-// GroupCoverageOptions.
+// GroupCoverageOptions. It runs one walk in sequential mode, posting
+// each query alone through o.
 func GroupCoverageOpt(o Oracle, ids []dataset.ObjectID, n, tau int, g pattern.Group, opts GroupCoverageOptions) (GroupResult, error) {
-	res := GroupResult{Group: g}
 	if o == nil {
-		return res, errors.New("core: nil oracle")
+		return GroupResult{Group: g}, errors.New("core: nil oracle")
 	}
 	if n < 1 {
-		return res, fmt.Errorf("core: set size bound n=%d, need >= 1", n)
+		return GroupResult{Group: g}, fmt.Errorf("core: set size bound n=%d, need >= 1", n)
 	}
 	if tau < 0 {
-		return res, fmt.Errorf("core: coverage threshold tau=%d, need >= 0", tau)
+		return GroupResult{Group: g}, fmt.Errorf("core: coverage threshold tau=%d, need >= 0", tau)
 	}
-	if tau == 0 {
+	w := newGroupWalk(ids, n, tau, g, opts)
+	err := newEngine(context.Background(), o, false, 1).run(w)
+	return w.res, err
+}
+
+// groupWalk is Algorithm 1 as a step machine: next hands out the
+// walk's pending set queries and apply consumes their answers, so the
+// round loop (lockstep.go) can post the queries of many walks as one
+// round, or one walk's queries one at a time, without a goroutine per
+// walk.
+//
+// The paper's FIFO queue holds the ceil(N/n) initial blocks first and
+// every child after them, and sibling inference only ever removes a
+// right child. So the walk hands the initial blocks out with a cursor
+// (blk) and queues only children. A block gets a tree node only when
+// it answers yes, as the parent of its two children.
+type groupWalk struct {
+	ids    []dataset.ObjectID
+	n, tau int
+	g      pattern.Group
+	opts   GroupCoverageOptions
+
+	res  GroupResult
+	cnt  int   // the proven lower bound on |g|
+	done bool  // res is final
+	err  error // the oracle error that ended the walk, if any
+
+	blk int   // start of the next initial block not yet answered
+	q   queue // children of yes nodes, in FIFO order
+
+	// The queries handed out by the last next call: blocks initial
+	// blocks from blk on, then the queued nodes.
+	reqs   []SetRequest
+	blocks int
+	nodes  []*node
+}
+
+// newGroupWalk starts Algorithm 1 for group g over ids, with set size
+// bound n >= 1 and threshold tau >= 0.
+func newGroupWalk(ids []dataset.ObjectID, n, tau int, g pattern.Group, opts GroupCoverageOptions) *groupWalk {
+	w := &groupWalk{ids: ids, n: n, tau: tau, g: g, opts: opts, res: GroupResult{Group: g}}
+	w.q.init()
+	switch {
+	case tau == 0:
 		// Zero members suffice: trivially covered at no cost.
-		res.Covered = true
-		return res, nil
+		w.res.Covered, w.done = true, true
+	case len(ids) == 0:
+		w.res.Exact, w.done = true, true
 	}
-	if len(ids) == 0 {
-		res.Exact = true
-		return res, nil
+	return w
+}
+
+// next returns the first limit pending set queries in FIFO order, or
+// none once the walk is done. The slice is valid until the next call.
+func (w *groupWalk) next(limit int) []SetRequest {
+	w.reqs, w.blocks, w.nodes = w.reqs[:0], 0, w.nodes[:0]
+	if w.done {
+		return nil
 	}
-
-	q := newQueue()
-	for i := 0; i < len(ids); i += n {
-		end := i + n
-		if end > len(ids) {
-			end = len(ids)
-		}
-		q.push(&node{b: i, e: end})
+	for b := w.blk; b < len(w.ids) && len(w.reqs) < limit; b += w.n {
+		w.reqs = append(w.reqs, SetRequest{IDs: w.ids[b:min(b+w.n, len(w.ids))], Group: w.g})
+		w.blocks++
 	}
+	for t := w.q.front(); t != nil && len(w.reqs) < limit; t = w.q.next(t) {
+		w.reqs = append(w.reqs, SetRequest{IDs: w.ids[t.b:t.e], Group: w.g})
+		w.nodes = append(w.nodes, t)
+	}
+	return w.reqs
+}
 
-	cnt := 0
-	for !q.empty() {
-		t := q.pop()
-		ans, err := o.SetQuery(ids[t.b:t.e], g)
-		if err != nil {
-			if errors.Is(err, ErrBudgetExhausted) {
-				// A budget cap is a configured stopping rule, not a
-				// failure: report the bound proven so far undecided.
-				res.Count = cnt
-				res.Exhausted = true
-				return res, nil
-			}
-			return res, err
-		}
-		res.Tasks++
-		if opts.Trace != nil {
-			opts.Trace.record(t, ans, false)
-		}
-
-		if !ans {
-			// Prune the subtree (lines 9, 11). For a left child, the
-			// right sibling must answer yes (the parent did), so claim
-			// that answer without issuing a task (lines 12-13) —
-			// unless the ablation disables the inference.
-			if t.parent == nil || opts.DisableSiblingInference {
+// apply consumes the answers to the last next call's queries, in
+// order. A failed round commits only a prefix: answers holds the
+// committed answers and err the failure of the rest, which ends the
+// walk. An answer is dropped when sibling inference already settled
+// its query for free earlier in the same call, and every answer after
+// the cnt >= tau stop is dropped too.
+func (w *groupWalk) apply(answers []bool, err error) {
+	for j := 0; j < len(w.reqs) && !w.done; j++ {
+		var t *node // nil for an initial block
+		if j >= w.blocks {
+			if t = w.nodes[j-w.blocks]; !t.inQueue {
 				continue
 			}
-			sib := t.parent.right
-			if t != t.parent.left || sib == nil || !sib.inQueue {
-				continue
-			}
-			q.remove(sib)
-			t = sib
-			if opts.Trace != nil {
-				opts.Trace.record(t, true, true)
-			}
 		}
-		// t answered (or is implied to answer) yes.
-		switch {
-		case opts.CountSingletonsOnly:
-			// Ablation: only definite individuals count.
-			if t.size() == 1 {
-				cnt++
-			}
-		case t.parent == nil:
-			cnt++
-		case t.parent.checked:
-			// Lines 14-15: the parent already contributed one member
-			// to the bound; a second yes-child proves another.
-			cnt++
-		default:
-			t.parent.checked = true
+		if j >= len(answers) {
+			w.fail(err)
+			return
 		}
-
-		if cnt >= tau {
-			res.Covered = true
-			res.Count = cnt
-			return res, nil
-		}
-		if t.size() > 1 {
-			mid := (t.b + t.e) / 2
-			t.left = &node{b: t.b, e: mid, parent: t}
-			t.right = &node{b: mid, e: t.e, parent: t}
-			q.push(t.left)
-			q.push(t.right)
+		if t == nil {
+			b := w.blk
+			w.blk += w.n
+			w.visit(nil, b, min(b+w.n, len(w.ids)), answers[j])
+		} else {
+			w.q.remove(t)
+			w.visit(t, t.b, t.e, answers[j])
 		}
 	}
-	// Queue drained below tau: every yes reached a singleton, so cnt
-	// is the exact group size (Lemma 3.1).
-	res.Count = cnt
-	res.Exact = true
-	return res, nil
+	if !w.done && w.blk >= len(w.ids) && w.q.empty() {
+		// Queue drained below tau: every yes reached a singleton, so
+		// cnt is the exact group size (Lemma 3.1).
+		w.res.Count = w.cnt
+		w.res.Exact, w.done = true, true
+	}
+}
+
+// fail ends the walk on a failed query.
+func (w *groupWalk) fail(err error) {
+	w.done = true
+	switch {
+	case errors.Is(err, ErrBudgetExhausted):
+		// A budget cap is a configured stopping rule, not a failure:
+		// report the bound proven so far undecided.
+		w.res.Count = w.cnt
+		w.res.Exhausted = true
+	case err == nil:
+		w.err = errors.New("core: oracle round answered too few queries")
+	default:
+		w.err = err
+	}
+}
+
+// visit applies one committed answer to the query over [b, e), whose
+// node is t (nil for an initial block).
+func (w *groupWalk) visit(t *node, b, e int, ans bool) {
+	w.res.Tasks++
+	var parent *node
+	if t != nil {
+		parent = t.parent
+	}
+	if w.opts.Trace != nil {
+		w.opts.Trace.record(b, e, parent, ans, false)
+	}
+	if !ans {
+		// Prune the subtree (lines 9, 11). For a left child, the right
+		// sibling must answer yes (the parent did), so claim that
+		// answer without issuing a task (lines 12-13) — unless the
+		// ablation disables the inference.
+		if parent == nil || w.opts.DisableSiblingInference {
+			return
+		}
+		sib := parent.right
+		if t != parent.left || sib == nil || !sib.inQueue {
+			return
+		}
+		w.q.remove(sib)
+		t, b, e = sib, sib.b, sib.e
+		if w.opts.Trace != nil {
+			w.opts.Trace.record(b, e, parent, true, true)
+		}
+	}
+	// [b, e) answered (or is implied to answer) yes.
+	switch {
+	case w.opts.CountSingletonsOnly:
+		// Ablation: only definite individuals count.
+		if e-b == 1 {
+			w.cnt++
+		}
+	case parent == nil:
+		w.cnt++
+	case parent.checked:
+		// Lines 14-15: the parent already contributed one member to
+		// the bound; a second yes-child proves another.
+		w.cnt++
+	default:
+		parent.checked = true
+	}
+	if w.cnt >= w.tau {
+		w.res.Covered = true
+		w.res.Count = w.cnt
+		w.done = true
+		return
+	}
+	if e-b > 1 {
+		if t == nil {
+			t = &node{b: b, e: e}
+		}
+		mid := (b + e) / 2
+		kids := new([2]node) // one allocation per split
+		kids[0] = node{b: b, e: mid, parent: t}
+		kids[1] = node{b: mid, e: e, parent: t}
+		t.left, t.right = &kids[0], &kids[1]
+		w.q.push(t.left)
+		w.q.push(t.right)
+	}
 }
 
 // BaseCoverage is Algorithm 7, the baseline the paper compares

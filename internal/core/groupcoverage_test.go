@@ -340,3 +340,28 @@ func TestGroupCoverageIntersectionalGroup(t *testing.T) {
 		t.Errorf("female-asian audit = %+v, want exact uncovered 7", res)
 	}
 }
+
+// TestGroupCoverageAllocatesPerSplitNotPerBlock: the walk hands the
+// initial blocks out with a cursor and allocates tree nodes only under
+// a yes, so an audit over a dataset with no group member allocates the
+// same few objects however many blocks it asks about.
+func TestGroupCoverageAllocatesPerSplitNotPerBlock(t *testing.T) {
+	s := pattern.MustSchema(pattern.Attribute{Name: "a", Values: []string{"0", "1"}})
+	d := dataset.MustFromCounts(s, []int{10_000, 0}, rand.New(rand.NewSource(1)))
+	g := pattern.GroupsForAttribute(s, 0)[1]
+	o := NewTruthOracle(d)
+	ids := d.IDs()
+	var res GroupResult
+	allocs := testing.AllocsPerRun(5, func() {
+		var err error
+		if res, err = GroupCoverage(o, ids, 10, 5, g); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if res.Tasks != 1000 || res.Count != 0 || !res.Exact {
+		t.Fatalf("result %+v, want 1000 tasks and an exact count of 0", res)
+	}
+	if allocs > 10 {
+		t.Errorf("%.0f allocations for 1000 initial blocks, want at most 10", allocs)
+	}
+}

@@ -101,37 +101,36 @@ func IntersectionalCoverage(o Oracle, ids []dataset.ObjectID, n, tau int, s *pat
 	// Resolution phase. Every pattern's verdict follows from the
 	// propagated bounds alone (no oracle calls), so the straddling
 	// patterns are known up front; their re-audits are independent of
-	// one another and fan out across the worker pool.
+	// one another.
 	universe := pattern.Universe(s)
 	type resolution struct {
 		pattern pattern.Pattern
-		group   pattern.Group
 		labeled int
-		audit   GroupResult
+		walk    *groupWalk
 	}
-	var unresolved []resolution
+	var (
+		unresolved []resolution
+		walks      []*groupWalk
+	)
 	for _, p := range universe {
 		b := bounds[p.Key()]
 		v := PatternVerdict{Pattern: p, Coverage: b.Verdict(tau), Bounds: b}
 		if v.Coverage == pattern.Unknown {
 			g := pattern.Group{Name: p.Format(s), Members: []pattern.Pattern{p}}
-			unresolved = append(unresolved, resolution{pattern: p, group: g, labeled: mres.Labeled.Count(g)})
+			labeled := mres.Labeled.Count(g)
+			w := newGroupWalk(mres.RemainingIDs, n, clampTau(tau-labeled), g, GroupCoverageOptions{})
+			unresolved = append(unresolved, resolution{pattern: p, labeled: labeled, walk: w})
+			walks = append(walks, w)
 		}
 		res.Verdicts[p.Key()] = v
 	}
 	// The re-audits share one retry wrapper, like the leaf audits, and
-	// runTasks runs them in lockstep rounds (or one after another on
-	// the sequential engine), with pattern-universe order as the
-	// canonical task order.
-	resolve := func(i int, audit Oracle) error {
-		r := &unresolved[i]
-		var e error
-		r.audit, e = GroupCoverage(audit, mres.RemainingIDs, n, clampTau(tau-r.labeled), r.group)
-		return e
-	}
+	// run as walks: together in lockstep rounds, or one after another
+	// on the sequential engine, with pattern-universe order as the
+	// canonical walk order.
 	ctx := opts.context()
-	audit := withRetry(ctx, o, opts.Retry, opts.Rng, opts.Parallelism)
-	if err := runTasks(ctx, audit, opts.Lockstep, opts.Parallelism, len(unresolved), resolve); err != nil {
+	eng := newEngine(ctx, withRetry(ctx, o, opts.Retry, opts.Rng, opts.Parallelism), opts.Lockstep, opts.Parallelism)
+	if err := eng.run(walks...); err != nil {
 		return nil, err
 	}
 	// Settle in universe order, so task accounting and verdicts are
@@ -139,15 +138,16 @@ func IntersectionalCoverage(o Oracle, ids []dataset.ObjectID, n, tau int, s *pat
 	res.Exhausted = mres.Exhausted
 	for _, r := range unresolved {
 		v := res.Verdicts[r.pattern.Key()]
-		res.ResolutionTasks += r.audit.Tasks
-		total := r.labeled + r.audit.Count
+		audit := r.walk.res
+		res.ResolutionTasks += audit.Tasks
+		total := r.labeled + audit.Count
 		switch {
-		case r.audit.Exhausted:
+		case audit.Exhausted:
 			// The budget ran out mid-resolution: the pattern stays
 			// Unknown, keeping only the committed lower bound.
 			v.Bounds = pattern.Bounds{Lo: maxInt(total, v.Bounds.Lo), Hi: v.Bounds.Hi}
 			res.Exhausted = true
-		case r.audit.Covered:
+		case audit.Covered:
 			v.Coverage = pattern.Covered
 			v.Bounds = pattern.Bounds{Lo: maxInt(total, v.Bounds.Lo), Hi: v.Bounds.Hi}
 			v.Resolved = true

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -326,5 +327,78 @@ func TestRunBoundedStopsDispatchAboveFailure(t *testing.T) {
 	ran.Range(func(_, _ any) bool { count++; return true })
 	if count > 900 {
 		t.Errorf("%d of 1000 tasks ran after an index-0 failure; dispatch should stop", count)
+	}
+}
+
+// goroutineProbe is a native BatchOracle over ground truth that notes
+// the process's goroutine count inside every batch call.
+type goroutineProbe struct {
+	*TruthOracle
+	max int
+}
+
+func (p *goroutineProbe) note() { p.max = max(p.max, runtime.NumGoroutine()) }
+
+func (p *goroutineProbe) SetQueryBatch(reqs []SetRequest) ([]bool, error) {
+	p.note()
+	return p.TruthOracle.SetQueryBatch(reqs)
+}
+
+func (p *goroutineProbe) PointQueryBatch(ids []dataset.ObjectID) ([][]int, error) {
+	p.note()
+	return p.TruthOracle.PointQueryBatch(ids)
+}
+
+// TestLockstepRoundsStartNoGoroutine: lockstep audits run their walks
+// and rounds in the caller's goroutine. Over a native BatchOracle no
+// round may find more goroutines alive than before the audit began.
+// (Not parallel: other tests' goroutines would blur the count.)
+func TestLockstepRoundsStartNoGoroutine(t *testing.T) {
+	s := raceSchema()
+	d := dataset.MustFromCounts(s, []int{9500, 30, 28, 26}, rand.New(rand.NewSource(202)))
+	groups := pattern.GroupsForAttribute(s, 0)
+	two := pattern.MustSchema(
+		pattern.Attribute{Name: "a", Values: []string{"0", "1"}},
+		pattern.Attribute{Name: "b", Values: []string{"0", "1"}},
+	)
+	d2 := dataset.MustFromCounts(two, []int{500, 10, 300, 8}, rand.New(rand.NewSource(200)))
+	d3, err := dataset.BinaryWithMinority(2000, 300, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	female := dataset.Female(d3.Schema())
+	audits := []struct {
+		name  string
+		ds    *dataset.Dataset
+		audit func(o Oracle) error
+	}{
+		{"multiple", d, func(o Oracle) error {
+			_, err := MultipleCoverage(o, d.IDs(), 50, 50, groups,
+				MultipleOptions{Rng: rand.New(rand.NewSource(11)), Parallelism: 16, NoSampling: true})
+			return err
+		}},
+		{"intersectional", d2, func(o Oracle) error {
+			_, err := IntersectionalCoverage(o, d2.IDs(), 30, 30, two,
+				MultipleOptions{Rng: rand.New(rand.NewSource(8)), Parallelism: 16})
+			return err
+		}},
+		{"classifier", d3, func(o Oracle) error {
+			_, err := ClassifierCoverage(o, d3.IDs(), predictedSet(d3, 250, 10), 15, 280, female,
+				ClassifierOptions{Rng: rand.New(rand.NewSource(3)), Parallelism: 16})
+			return err
+		}},
+	}
+	for _, a := range audits {
+		probe := &goroutineProbe{TruthOracle: NewTruthOracle(a.ds)}
+		before := runtime.NumGoroutine()
+		if err := a.audit(probe); err != nil {
+			t.Fatalf("%s: %v", a.name, err)
+		}
+		if probe.max == 0 {
+			t.Fatalf("%s: no round reached the oracle", a.name)
+		}
+		if probe.max > before {
+			t.Errorf("%s: %d goroutines alive during a round, %d before the audit", a.name, probe.max, before)
+		}
 	}
 }

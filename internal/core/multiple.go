@@ -238,16 +238,17 @@ type MultipleOptions struct {
 	Multi bool
 	// Rng drives sampling and the retry jitter; required.
 	Rng *rand.Rand
-	// Parallelism > 1 runs the concurrent engine: independent
-	// super-group audits (and the per-member re-audits of the
-	// covered-penalty branch) run as lockstep tasks (lockstep.go) whose
-	// parked queries commit in canonical (super-group, member,
-	// query-sequence) order, one BatchOracle round at a time, and the
-	// sampling phase is issued as one batched oracle round. The
-	// schedule never depends on Parallelism, which only bounds the pool
-	// that lifts non-batching oracles into rounds, preserving the
-	// latency win of batched rounds. Zero or one runs the sequential
-	// Algorithm 2 verbatim. The oracle must be safe for concurrent use.
+	// Parallelism > 1 runs the lockstep engine (lockstep.go):
+	// independent super-group audits (and the per-member re-audits of
+	// the covered-penalty branch) run as walks whose queries commit in
+	// canonical (super-group, member, query-sequence) order, one
+	// BatchOracle round at a time, and the sampling phase is issued as
+	// one batched oracle round. The schedule never depends on
+	// Parallelism, which only bounds the pool that lifts non-batching
+	// oracles into rounds, preserving the latency win of batched
+	// rounds. Zero or one runs the sequential Algorithm 2 verbatim. The
+	// oracle must be safe for concurrent use when it does not batch
+	// natively.
 	// With an oracle whose batches execute in request order (the crowd
 	// Platform, TruthOracle, any native BatchOracle honoring the
 	// contract) results are bit-for-bit identical at every Parallelism
@@ -268,10 +269,9 @@ type MultipleOptions struct {
 	Retry RetryPolicy
 	// Ctx cancels the audit at round boundaries: a cancelled context
 	// fails the next oracle round before it reaches the crowd (checked
-	// in the lockstep commit path, between audits on the sequential
-	// engine, in the journaling middleware and in the retry backoff),
-	// so a killed job never half-posts a round. Nil means
-	// context.Background().
+	// before every commit, a round or a sequential query, in the
+	// journaling middleware and in the retry backoff), so a killed job
+	// never half-posts a round. Nil means context.Background().
 	Ctx context.Context
 }
 
@@ -306,9 +306,6 @@ func MultipleCoverage(o Oracle, ids []dataset.ObjectID, n, tau int, groups []pat
 	if c < 0 || n < 1 || tau < 0 {
 		return nil, fmt.Errorf("core: invalid parameters (c=%d n=%d tau=%d)", c, n, tau)
 	}
-	if opts.Lockstep || opts.Parallelism > 1 {
-		return multipleCoverageParallel(o, ids, n, tau, c, groups, opts)
-	}
 
 	res := &MultipleResult{
 		Results: make([]MultipleGroupResult, len(groups)),
@@ -322,8 +319,23 @@ func MultipleCoverage(o Oracle, ids []dataset.ObjectID, n, tau int, groups []pat
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	seqOracle := withRetry(ctx, o, opts.Retry, opts.Rng, opts.Parallelism)
-	remaining, sampleTasks, err := LabelSamples(seqOracle, ids, budget, res.Labeled, opts.Rng)
+	// One retry wrapper, when enabled, serves the sampling phase and
+	// every round: inside its round a transient failure retries the
+	// failed query on its own, then posts the rest, and the round fails
+	// only once one query has failed MaxAttempts times. Jitter is drawn
+	// from the parent RNG, which no walk touches.
+	eng := newEngine(ctx, withRetry(ctx, o, opts.Retry, opts.Rng, opts.Parallelism), opts.Lockstep, opts.Parallelism)
+	var (
+		remaining   []dataset.ObjectID
+		sampleTasks int
+		err         error
+	)
+	if eng.bo != nil {
+		// Lockstep: the sampling phase is one batch of point queries.
+		remaining, sampleTasks, err = LabelSamplesBatch(eng.bo, ids, budget, res.Labeled, opts.Rng)
+	} else {
+		remaining, sampleTasks, err = LabelSamples(eng.o, ids, budget, res.Labeled, opts.Rng)
+	}
 	if err != nil {
 		if errors.Is(err, ErrBudgetExhausted) {
 			return settleSamplingExhausted(res, remaining, sampleTasks, groups, len(ids)), nil
@@ -333,35 +345,52 @@ func MultipleCoverage(o Oracle, ids []dataset.ObjectID, n, tau int, groups []pat
 	res.RemainingIDs = remaining
 	res.SampleTasks = sampleTasks
 
+	// Every super-group gets a union walk; a covered multi-member one
+	// then pays the penalty of re-auditing each member individually
+	// (lines 8-12). Sequential mode runs each plan's union and then its
+	// re-audits, plan by plan. Lockstep mode runs every union in one
+	// set of rounds, then every re-audit, in canonical (super-group,
+	// member) order. A walk translates budget exhaustion into an
+	// Exhausted result, so once the governor refuses queries every
+	// later walk ends exhausted at no further cost (or settles for free
+	// when its residual threshold is already met), and settleSuper
+	// marks the affected groups unsettled.
 	plans := buildSuperPlans(res.Labeled, tau, groups, Aggregate(res.Labeled, len(ids), tau, groups, opts.Multi))
-	for _, plan := range plans {
-		if err := ctx.Err(); err != nil {
+	unions := make([]*groupWalk, len(plans))
+	for si, plan := range plans {
+		unions[si] = newGroupWalk(remaining, n, plan.tauPrime, plan.union, GroupCoverageOptions{})
+	}
+	penalties := make([][]*groupWalk, len(plans))
+	step := 1
+	if eng.bo != nil {
+		step = len(plans)
+	}
+	for lo := 0; lo < len(plans); lo += step {
+		hi := min(lo+step, len(plans))
+		if err := eng.run(unions[lo:hi]...); err != nil {
 			return nil, err
 		}
-		// GroupCoverage translates budget exhaustion into a partial
-		// Exhausted result, so the loop simply runs on: once the
-		// governor refuses queries, every later audit returns
-		// exhausted at zero additional cost (or settles for free when
-		// its residual threshold is already met) and settleSuper marks
-		// the affected groups unsettled.
-		gc, err := GroupCoverage(seqOracle, remaining, n, plan.tauPrime, plan.union)
-		if err != nil {
-			return nil, err
-		}
-		subs := make([]GroupResult, 0, len(plan.members))
-		if len(plan.members) > 1 && gc.Covered {
-			// Penalty case: the super-group is covered, which says
-			// nothing about individual members (line 8-12).
-			for _, gi := range plan.members {
-				g := groups[gi]
-				sub, err := GroupCoverage(seqOracle, remaining, n, clampTau(tau-res.Labeled.Count(g)), g)
-				if err != nil {
-					return nil, err
-				}
-				subs = append(subs, sub)
+		var reaudits []*groupWalk
+		for si := lo; si < hi; si++ {
+			if len(plans[si].members) < 2 || !unions[si].res.Covered {
+				continue
 			}
+			for _, gi := range plans[si].members {
+				g := groups[gi]
+				penalties[si] = append(penalties[si], newGroupWalk(remaining, n, clampTau(tau-res.Labeled.Count(g)), g, GroupCoverageOptions{}))
+			}
+			reaudits = append(reaudits, penalties[si]...)
 		}
-		settleSuper(res, plan, gc, subs, groups, len(ids))
+		if err := eng.run(reaudits...); err != nil {
+			return nil, err
+		}
+	}
+	for si, plan := range plans {
+		subs := make([]GroupResult, len(penalties[si]))
+		for i, w := range penalties[si] {
+			subs[i] = w.res
+		}
+		settleSuper(res, plan, unions[si].res, subs, groups, len(ids))
 	}
 	res.Tasks = res.SampleTasks + res.AuditTasks
 	return res, nil
@@ -432,9 +461,7 @@ func buildSuperPlans(l *LabeledSet, tau int, groups []pattern.Group, supers [][]
 
 // settleSuper folds one finished super-group audit — the union verdict
 // gc plus, in the covered-penalty case, the per-member re-audits subs
-// (aligned with plan.members) — into the result. Both the sequential
-// and the concurrent engine settle through this one function, so their
-// verdicts and task accounting cannot drift apart.
+// (aligned with plan.members) — into the result.
 func settleSuper(res *MultipleResult, plan superPlan, gc GroupResult, subs []GroupResult, groups []pattern.Group, universe int) {
 	audit := SuperAudit{
 		GroupIndices:   plan.members,

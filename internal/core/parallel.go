@@ -1,24 +1,12 @@
 package core
 
 import (
-	"errors"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 
 	"imagecvg/internal/dataset"
-	"imagecvg/internal/pattern"
 )
-
-// This file is the concurrent audit engine behind
-// MultipleOptions.Parallelism: independent super-group audits — and
-// the per-member re-audits of the covered-penalty branch — run in
-// lockstep rounds (lockstep.go) and the sampling phase is issued as
-// one batched oracle round. Results are assembled in super-group
-// order, so the engine is bit-for-bit equivalent to the sequential
-// Algorithm 2 at every parallelism level for order-independent
-// oracles, and reproduces itself at every level for order-dependent
-// ones.
 
 // normalizeParallelism maps non-positive pool widths to 1, the one
 // normalization rule every engine shares: "no parallelism requested"
@@ -125,93 +113,4 @@ func LabelSamplesBatch(o BatchOracle, ids []dataset.ObjectID, k int, l *LabeledS
 		return remaining, len(labels), err
 	}
 	return remaining, len(batch), nil
-}
-
-// multipleCoverageParallel is Algorithm 2 on the concurrent engine;
-// MultipleCoverage dispatches here when opts.Parallelism > 1 or
-// opts.Lockstep is set (inputs already validated, c is the resolved
-// sample factor). The audit rounds run in lockstep (runLockstep).
-func multipleCoverageParallel(o Oracle, ids []dataset.ObjectID, n, tau, c int, groups []pattern.Group, opts MultipleOptions) (*MultipleResult, error) {
-	res := &MultipleResult{
-		Results: make([]MultipleGroupResult, len(groups)),
-		Labeled: NewLabeledSet(),
-	}
-	budget := c * tau
-	if opts.NoSampling {
-		budget = 0
-	}
-	ctx := opts.context()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// One retry wrapper, when enabled, serves the sampling batch and
-	// every lockstep round: inside its round a transient failure retries
-	// the failed query on its own, then posts the rest, and the round
-	// fails only once one query has failed MaxAttempts times. Jitter is
-	// drawn from the parent RNG, which no audit task touches.
-	retried := withRetry(ctx, o, opts.Retry, opts.Rng, opts.Parallelism)
-
-	// Sampling round: one batch of point queries.
-	sampler := AsBatchOracle(retried, normalizeParallelism(opts.Parallelism))
-	remaining, sampleTasks, err := LabelSamplesBatch(sampler, ids, budget, res.Labeled, opts.Rng)
-	if err != nil {
-		if errors.Is(err, ErrBudgetExhausted) {
-			return settleSamplingExhausted(res, remaining, sampleTasks, groups, len(ids)), nil
-		}
-		return nil, err
-	}
-	res.RemainingIDs = remaining
-	res.SampleTasks = sampleTasks
-
-	plans := buildSuperPlans(res.Labeled, tau, groups, Aggregate(res.Labeled, len(ids), tau, groups, opts.Multi))
-
-	// Round 1: every super-group union audit runs in lockstep rounds,
-	// task index = super-group index.
-	unionRes := make([]GroupResult, len(plans))
-	err = runLockstep(ctx, retried, opts.Parallelism, len(plans), func(si int, audit Oracle) error {
-		var e error
-		unionRes[si], e = GroupCoverage(audit, remaining, n, plans[si].tauPrime, plans[si].union)
-		return e
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Round 2: the covered-penalty re-audits — every member of every
-	// covered multi-member super-group — also run as lockstep tasks;
-	// the canonical task order is (super-group index, member index).
-	type penaltyJob struct{ si, mi int }
-	var jobs []penaltyJob
-	for si, plan := range plans {
-		if len(plan.members) > 1 && unionRes[si].Covered {
-			for mi := range plan.members {
-				jobs = append(jobs, penaltyJob{si, mi})
-			}
-		}
-	}
-	subRes := make([]GroupResult, len(jobs))
-	err = runLockstep(ctx, retried, opts.Parallelism, len(jobs), func(j int, audit Oracle) error {
-		job := jobs[j]
-		g := groups[plans[job.si].members[job.mi]]
-		var e error
-		subRes[j], e = GroupCoverage(audit, remaining, n, clampTau(tau-res.Labeled.Count(g)), g)
-		return e
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Settle in super-group order through the same function as the
-	// sequential engine, so assembly is deterministic and identical.
-	sub := 0
-	for si, plan := range plans {
-		var subs []GroupResult
-		if len(plan.members) > 1 && unionRes[si].Covered {
-			subs = subRes[sub : sub+len(plan.members)]
-			sub += len(plan.members)
-		}
-		settleSuper(res, plan, unionRes[si], subs, groups, len(ids))
-	}
-	res.Tasks = res.SampleTasks + res.AuditTasks
-	return res, nil
 }

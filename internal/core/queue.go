@@ -30,9 +30,15 @@ type queue struct {
 
 func newQueue() *queue {
 	q := &queue{}
+	q.init()
+	return q
+}
+
+// init links the sentinel to itself. A queue embedded by value must be
+// initialized at its final address before use.
+func (q *queue) init() {
 	q.sentinel.qprev = &q.sentinel
 	q.sentinel.qnext = &q.sentinel
-	return q
 }
 
 func (q *queue) empty() bool { return q.n == 0 }
@@ -62,8 +68,8 @@ func (q *queue) front() *node {
 }
 
 // next returns the node after t in queue order; nil at the back. The
-// clipped round engine uses front/next to peek a prefix of the queue
-// before posting it as one batch.
+// round walks use front/next to peek a prefix of the queue before
+// posting it as one batch.
 func (q *queue) next(t *node) *node {
 	if t.qnext == &q.sentinel {
 		return nil

@@ -58,7 +58,7 @@ type Stack struct {
 //     replayed answers.
 //
 // Journal and trust replay or schedule on the committed round
-// sequence, which only the lockstep scheduler makes a pure function of
+// sequence, which only the lockstep engine makes a pure function of
 // committed answers; Lockstep reports when a caller must run it. The
 // classifier engine narrows its speculative rounds to the governor's
 // headroom wherever the governor sits in the stack. The only error is
@@ -89,7 +89,7 @@ func NewStack(base Oracle, cfg StackConfig) (*Stack, error) {
 }
 
 // Lockstep reports whether audits through the stack must run the
-// lockstep scheduler: true when a journal or trust layer is present.
+// lockstep engine: true when a journal or trust layer is present.
 func (s *Stack) Lockstep() bool { return s.Journal != nil || s.Trust != nil }
 
 // governorOf finds the budget governor under o by walking down the

@@ -1,6 +1,6 @@
 package crowd
 
-// The cross-parallelism conformance matrix for the lockstep scheduler:
+// The cross-parallelism conformance matrix for the lockstep engine:
 // the FULL crowd-simulator pipeline — glyph-perceiving workers drawn
 // from the platform RNG, pre-task qualification tests and rating-based
 // worker screening, redundant assignments, majority or

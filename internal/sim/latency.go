@@ -90,7 +90,7 @@ func (r *LatencyResult) String() string {
 }
 
 // RunLockstepLatency runs the same workload through the sequential
-// Algorithm 2 and through the lockstep scheduler at the configured
+// Algorithm 2 and through the lockstep engine at the configured
 // parallelism, against a DelayOracle. Both cells share trial seeds, so
 // they audit identical datasets and issue identical task counts; only
 // the wall-clock differs — lockstep posts each virtual round as one

@@ -5,7 +5,7 @@ import (
 )
 
 // TestLockstepLatencyRetainsSpeedup is the acceptance gate for the
-// lockstep scheduler's wall-clock: under per-HIT crowd latency the
+// lockstep engine's wall-clock: under per-HIT crowd latency the
 // batched rounds must keep at least a 2x win over the sequential
 // engine at parallelism 4 (measured ~2.5-3x; latency, not CPU, is the
 // bottleneck, so the bound holds on single-core CI too), while issuing

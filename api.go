@@ -417,11 +417,15 @@ func (a *Auditor) TrustStats() (report TrustReport, ok bool) {
 	return a.stack.Trust.Report(), true
 }
 
-// WithContext threads ctx through every audit of this auditor:
-// cancellation fails the next oracle round before it reaches the crowd
-// (and aborts retry backoffs mid-sleep), so a cancelled job never
-// half-posts a round — with WithJournal, every round either committed
-// and was journaled, or never happened.
+// WithContext threads ctx through the round-based audits of this
+// auditor (AuditGroups, AuditAttribute, AuditIntersectional,
+// AuditWithClassifier and AuditGroupBatched): cancellation fails the
+// next oracle round before it reaches the crowd (and aborts retry
+// backoffs mid-sleep), so a cancelled job never half-posts a round —
+// with WithJournal, every round either committed and was journaled, or
+// never happened. AuditGroup, AuditBaseline, AuditGroupTraced and
+// AuditSampled run on context.Background() and see ctx only through
+// WithJournal's check before every round.
 func (a *Auditor) WithContext(ctx context.Context) *Auditor {
 	a.cfg.Ctx = ctx
 	if a.stack.Journal != nil {

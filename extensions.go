@@ -18,7 +18,8 @@ type (
 	// RepairPlan is an acquisition plan repairing every uncovered
 	// pattern.
 	RepairPlan = repair.Plan
-	// RoundsResult is a batched audit outcome (verdict plus rounds).
+	// RoundsResult is a batched audit outcome: the verdict, with Tasks
+	// counting committed queries, plus at most 1+ceil(log2 n) rounds.
 	RoundsResult = core.RoundsResult
 	// SampledResult is the statistical estimator's outcome.
 	SampledResult = core.SampledResult
@@ -141,12 +142,17 @@ func (a *Auditor) PlanRepair(s *Schema, res *IntersectionalResult) (*RepairPlan,
 	return repair.NewPlan(s, counts, a.tau)
 }
 
-// AuditGroupBatched is the level-synchronous variant of AuditGroup:
-// every tree level is issued as one concurrent batch of at most
+// AuditGroupBatched is AuditGroup posted in rounds: each round offers
+// every pending set query of the walk as one batch of at most
 // parallelism in-flight queries, bounding audit latency by
-// 1+ceil(log2 n) rounds. The oracle must be safe for concurrent use.
+// 1+ceil(log2 n) rounds. The result equals AuditGroup's for an
+// order-independent oracle: Tasks counts committed queries, and
+// answers dropped after the early stop or under an inferred sibling
+// were posted but are not counted. The context of WithContext is
+// checked before every round. The oracle must be safe for concurrent
+// use unless it implements BatchOracle natively.
 func (a *Auditor) AuditGroupBatched(ids []ObjectID, g Group, parallelism int) (RoundsResult, error) {
-	return core.GroupCoverageRounds(a.stack.Top, ids, a.setSize, a.tau, g, parallelism)
+	return core.GroupCoverageRounds(a.cfg.Ctx, a.stack.Top, ids, a.setSize, a.tau, g, parallelism)
 }
 
 // AuditGroupTraced is AuditGroup with execution-tree recording; the

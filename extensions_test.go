@@ -1,6 +1,8 @@
 package imagecvg
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -67,6 +69,27 @@ func TestAuditGroupBatched(t *testing.T) {
 	}
 	if res.Rounds < 1 || res.Rounds > 7 {
 		t.Errorf("rounds = %d, want within 1..1+log2(50)", res.Rounds)
+	}
+}
+
+// TestAuditGroupBatchedHonorsContext: the batched audit checks the
+// auditor's context before every round, so a cancelled auditor posts
+// no HIT.
+func TestAuditGroupBatchedHonorsContext(t *testing.T) {
+	ds, err := GenerateBinary(5_000, 200, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := NewRecordingOracle(NewTruthOracle(ds))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	auditor := NewAuditor(rec, 50, 50).WithContext(ctx)
+	_, err = auditor.AuditGroupBatched(ds.IDs(), FemaleGroup(ds.Schema()), 8)
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", err)
+	}
+	if n := len(rec.Records()); n != 0 {
+		t.Errorf("a cancelled audit posted %d HITs, want 0", n)
 	}
 }
 

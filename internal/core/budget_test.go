@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -396,8 +397,8 @@ func TestSharedGovernorSpansAudits(t *testing.T) {
 }
 
 // TestNormalizeParallelism pins the shared normalization rule: every
-// engine treats non-positive widths as a single worker (rounds.go
-// historically defaulted to a magic 8).
+// engine treats non-positive widths as a single worker (the batched
+// audit historically defaulted to a magic 8).
 func TestNormalizeParallelism(t *testing.T) {
 	cases := []struct{ in, want int }{
 		{-3, 1}, {-1, 1}, {0, 1}, {1, 1}, {2, 2}, {8, 8}, {1024, 1024},
@@ -410,11 +411,11 @@ func TestNormalizeParallelism(t *testing.T) {
 	// GroupCoverageRounds at width 0 must behave exactly like width 1.
 	d, _ := dataset.BinaryWithMinority(120, 30, rand.New(rand.NewSource(15)))
 	g := dataset.Female(d.Schema())
-	want, err := GroupCoverageRounds(NewTruthOracle(d), d.IDs(), 10, 20, g, 1)
+	want, err := GroupCoverageRounds(context.Background(), NewTruthOracle(d), d.IDs(), 10, 20, g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := GroupCoverageRounds(NewTruthOracle(d), d.IDs(), 10, 20, g, 0)
+	got, err := GroupCoverageRounds(context.Background(), NewTruthOracle(d), d.IDs(), 10, 20, g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -211,32 +211,35 @@ func (e *classifierEngine) labelCleanRounds(predicted []dataset.ObjectID, sample
 // rest of its round, and a full drain makes the confirmed count exact.
 // Round composition depends only on committed answers, never on the
 // pool width.
+//
+// As in groupWalk, the initial blocks precede every child in FIFO
+// order and sibling inference never removes one, so the walk hands
+// them out with a cursor (blk) and queues only children: a block gets
+// a node only when it splits.
 func (e *classifierEngine) partitionCleanRounds(predicted []dataset.ObjectID, n, stopAt int) (confirmed int, drained bool, tasks int, exhausted bool, err error) {
-	if len(predicted) == 0 {
-		return 0, true, 0, false, nil
-	}
 	q := newQueue()
-	for i := 0; i < len(predicted); i += n {
-		end := i + n
-		if end > len(predicted) {
-			end = len(predicted)
-		}
-		q.push(&node{b: i, e: end})
-	}
-	for !q.empty() {
-		// Clip the round: enough front-of-queue nodes to reach the
-		// remaining need if all confirm, within the round cap.
+	blk := 0 // start of the next initial block not yet answered
+	for blk < len(predicted) || !q.empty() {
+		// Clip the round: enough front-of-queue entries to reach the
+		// remaining need if all confirm, within the round cap. The
+		// round holds blocks initial blocks from blk on, then the
+		// queued nodes in batch.
 		need := stopAt - confirmed
 		room := e.roundCap(HITReverseSet, n)
 		batch, reqs := e.batch[:0], e.reqs[:0]
-		sum := 0
-		for t := q.front(); t != nil; t = q.next(t) {
+		blocks, sum, full := 0, 0, false
+		for b := blk; b < len(predicted) && !full; b += n {
+			end := min(b+n, len(predicted))
+			reqs = append(reqs, SetRequest{IDs: predicted[b:end], Group: e.g, Reverse: true})
+			blocks++
+			sum += end - b
+			full = sum >= need || len(reqs) >= room
+		}
+		for t := q.front(); t != nil && !full; t = q.next(t) {
 			batch = append(batch, t)
 			reqs = append(reqs, SetRequest{IDs: predicted[t.b:t.e], Group: e.g, Reverse: true})
 			sum += t.size()
-			if sum >= need || len(batch) >= room {
-				break
-			}
+			full = sum >= need || len(reqs) >= room
 		}
 		e.batch, e.reqs = batch, reqs
 		answers, err := e.reverseRound(reqs)
@@ -244,46 +247,61 @@ func (e *classifierEngine) partitionCleanRounds(predicted []dataset.ObjectID, n,
 			return confirmed, false, tasks, false, err
 		}
 
-		for idx, t := range batch {
-			if !t.inQueue {
-				continue // answered for free by its left sibling
+		for idx := range reqs {
+			var t *node // nil for an initial block
+			if idx >= blocks {
+				if t = batch[idx-blocks]; !t.inQueue {
+					continue // answered for free by its left sibling
+				}
 			}
 			if idx >= len(answers) {
 				// Budget exhausted: the walk stops at the first
 				// uncommitted answer.
 				return confirmed, false, tasks, true, nil
 			}
-			q.remove(t)
+			var b, end int
+			if t == nil {
+				b, end = blk, min(blk+n, len(predicted))
+				blk += n
+			} else {
+				q.remove(t)
+				b, end = t.b, t.e
+			}
 			hasFP := answers[idx]
 			tasks++
 
 		process:
 			if !hasFP {
 				// The whole range is verified members of g.
-				confirmed += t.size()
+				confirmed += end - b
 				if confirmed >= stopAt {
 					return confirmed, false, tasks, false, nil
 				}
 				// Sibling inference, mirrored: our parent contains a
 				// false positive and we contain none, so the right
 				// sibling must.
-				if t.parent != nil && t == t.parent.left {
+				if t != nil && t.parent != nil && t == t.parent.left {
 					sib := t.parent.right
 					if sib != nil && sib.inQueue {
 						q.remove(sib)
-						t = sib
+						t, b, end = sib, sib.b, sib.e
 						hasFP = true
 						goto process
 					}
 				}
 				continue
 			}
-			if t.size() == 1 {
+			if end-b == 1 {
 				continue // isolated false positive: discard
 			}
-			mid := (t.b + t.e) / 2
-			t.left = &node{b: t.b, e: mid, parent: t}
-			t.right = &node{b: mid, e: t.e, parent: t}
+			if t == nil {
+				t = &node{b: b, e: end}
+			}
+			mid := (b + end) / 2
+			kids := new([2]node) // one allocation per split
+			kids[0] = node{b: b, e: mid, parent: t}
+			kids[1] = node{b: mid, e: end, parent: t}
+			t.left, t.right = &kids[0], &kids[1]
 			q.push(t.left)
 			q.push(t.right)
 		}

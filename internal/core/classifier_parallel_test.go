@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"imagecvg/internal/dataset"
+	"imagecvg/internal/pattern"
 )
 
 // classifierInstance is one randomized Classifier-Coverage workload:
@@ -261,6 +263,37 @@ func TestPartitionCleanRoundsMatchesSequential(t *testing.T) {
 				t.Fatalf("trial %d (N=%d f=%d chunk=%d stopAt=%d lockstep=%v P=%d): walk=(%d,%v,%d) reference=(%d,%v,%d)",
 					trial, n, f, chunk, stopAt, lockstep, par, gotC, gotD, gotT, wantC, wantD, wantT)
 			}
+		}
+	}
+}
+
+// TestPartitionAllocatesPerSplitNotPerBlock: the Partition walk hands
+// the initial blocks out with a cursor and allocates tree nodes only
+// for a block that splits, so verifying a predicted set with no false
+// positive allocates the same few objects however many blocks it asks
+// about, in either mode.
+func TestPartitionAllocatesPerSplitNotPerBlock(t *testing.T) {
+	s := pattern.MustSchema(pattern.Attribute{Name: "a", Values: []string{"0", "1"}})
+	d := dataset.MustFromCounts(s, []int{0, 10_000}, rand.New(rand.NewSource(1)))
+	g := pattern.GroupsForAttribute(s, 0)[1]
+	predicted := d.IDs()
+	for _, lockstep := range []bool{false, true} {
+		e := newClassifierEngine(NewTruthOracle(d), nil, context.Background(), lockstep, 1, g)
+		var (
+			confirmed, tasks int
+			drained          bool
+		)
+		allocs := testing.AllocsPerRun(5, func() {
+			var err error
+			if confirmed, drained, tasks, _, err = e.partitionCleanRounds(predicted, 10, 20_000); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if confirmed != 10_000 || !drained || tasks != 1000 {
+			t.Fatalf("lockstep=%v: confirmed %d, drained %v, %d tasks; want 10000, true, 1000", lockstep, confirmed, drained, tasks)
+		}
+		if allocs > 10 {
+			t.Errorf("lockstep=%v: %.0f allocations for 1000 initial blocks, want at most 10", lockstep, allocs)
 		}
 	}
 }

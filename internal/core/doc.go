@@ -41,9 +41,13 @@
 //     prefix, posts the failed query alone and then the rest of the
 //     round, so a partial prefix a budget governor already committed —
 //     and paid — is never charged twice. Attempts count per query.
-//   - GroupCoverageRounds (rounds.go) issues each tree level as one
-//     SetQueryBatch round, so even the order-dependent crowd simulator
-//     reproduces identical audits at every parallelism setting.
+//   - GroupCoverageRounds runs Algorithm 1's walk through the round
+//     loop with its whole queue offered each round: at most
+//     1+ceil(log2 n) rounds, one per tree level, and the GroupResult of
+//     GroupCoverage for an order-independent oracle. Answers posted
+//     after the stop or under an inferred sibling are dropped uncounted,
+//     and even the order-dependent crowd simulator reproduces
+//     identical audits at every parallelism setting.
 //   - The round loop (lockstep.go) extends that guarantee to the
 //     whole multi-group engine. Algorithm 1 is a step machine
 //     (groupWalk: next hands out queries, apply consumes answers), and

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"imagecvg/internal/dataset"
 	"imagecvg/internal/pattern"
@@ -27,8 +28,21 @@ type GroupResult struct {
 	// the lower bound proven by the queries that did commit. See
 	// Budget.
 	Exhausted bool
-	// Tasks is the number of crowd tasks this audit issued.
+	// Tasks is the number of crowd tasks this audit committed. A
+	// batched audit may post more: answers dropped after the stop or
+	// under an inferred sibling were paid but are not counted.
 	Tasks int
+}
+
+// RoundsResult reports a batched audit (GroupCoverageRounds): the
+// verdict plus the rounds it took.
+type RoundsResult struct {
+	GroupResult
+	// Rounds is the number of rounds the audit posted, at most
+	// 1+ceil(log2 n). With crowd platforms the wall-clock latency of
+	// an audit is dominated by rounds (every HIT in a round runs
+	// concurrently on the platform), not by the task count.
+	Rounds int
 }
 
 // String implements fmt.Stringer.
@@ -88,18 +102,55 @@ func GroupCoverage(o Oracle, ids []dataset.ObjectID, n, tau int, g pattern.Group
 // GroupCoverageOptions. It runs one walk in sequential mode, posting
 // each query alone through o.
 func GroupCoverageOpt(o Oracle, ids []dataset.ObjectID, n, tau int, g pattern.Group, opts GroupCoverageOptions) (GroupResult, error) {
-	if o == nil {
-		return GroupResult{Group: g}, errors.New("core: nil oracle")
-	}
-	if n < 1 {
-		return GroupResult{Group: g}, fmt.Errorf("core: set size bound n=%d, need >= 1", n)
-	}
-	if tau < 0 {
-		return GroupResult{Group: g}, fmt.Errorf("core: coverage threshold tau=%d, need >= 0", tau)
+	if err := checkGroupArgs(o, n, tau); err != nil {
+		return GroupResult{Group: g}, err
 	}
 	w := newGroupWalk(ids, n, tau, g, opts)
 	err := newEngine(context.Background(), o, false, 1).run(w)
 	return w.res, err
+}
+
+// GroupCoverageRounds is Algorithm 1 posted in rounds as wide as its
+// queue, the way HIT groups are posted to a crowd platform: each round
+// offers every pending set query as one SetQueryBatch through
+// AsBatchOracle(o, parallelism), and commits the answers in queue
+// order with the paper's rules. An answer posted after the cnt >= tau
+// stop, or for a right sibling its left sibling's no already settled,
+// is dropped. Those HITs were paid but are not counted in Tasks, so
+// the result equals GroupCoverage's for an order-independent oracle.
+// Latency drops from one wait per task to at most 1+ceil(log2 n)
+// rounds, one per tree level.
+//
+// The context is checked before every round; a nil ctx means
+// context.Background(). The oracle must be safe for concurrent use
+// unless it implements BatchOracle natively (TruthOracle and the crowd
+// platform do).
+func GroupCoverageRounds(ctx context.Context, o Oracle, ids []dataset.ObjectID, n, tau int, g pattern.Group, parallelism int) (RoundsResult, error) {
+	if err := checkGroupArgs(o, n, tau); err != nil {
+		return RoundsResult{GroupResult: GroupResult{Group: g}}, err
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	w := newGroupWalk(ids, n, tau, g, GroupCoverageOptions{})
+	e := newEngine(ctx, o, true, parallelism)
+	e.window = math.MaxInt
+	err := e.run(w)
+	return RoundsResult{GroupResult: w.res, Rounds: w.rounds}, err
+}
+
+// checkGroupArgs validates the arguments every Algorithm 1 entry point
+// shares.
+func checkGroupArgs(o Oracle, n, tau int) error {
+	switch {
+	case o == nil:
+		return errors.New("core: nil oracle")
+	case n < 1:
+		return fmt.Errorf("core: set size bound n=%d, need >= 1", n)
+	case tau < 0:
+		return fmt.Errorf("core: coverage threshold tau=%d, need >= 0", tau)
+	}
+	return nil
 }
 
 // groupWalk is Algorithm 1 as a step machine: next hands out the
@@ -119,10 +170,11 @@ type groupWalk struct {
 	g      pattern.Group
 	opts   GroupCoverageOptions
 
-	res  GroupResult
-	cnt  int   // the proven lower bound on |g|
-	done bool  // res is final
-	err  error // the oracle error that ended the walk, if any
+	res    GroupResult
+	cnt    int   // the proven lower bound on |g|
+	done   bool  // res is final
+	err    error // the oracle error that ended the walk, if any
+	rounds int   // apply calls: the rounds the walk took part in
 
 	blk int   // start of the next initial block not yet answered
 	q   queue // children of yes nodes, in FIFO order
@@ -174,6 +226,7 @@ func (w *groupWalk) next(limit int) []SetRequest {
 // its query for free earlier in the same call, and every answer after
 // the cnt >= tau stop is dropped too.
 func (w *groupWalk) apply(answers []bool, err error) {
+	w.rounds++
 	for j := 0; j < len(w.reqs) && !w.done; j++ {
 		var t *node // nil for an initial block
 		if j >= w.blocks {

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"context"
 	"errors"
+	"math/bits"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"imagecvg/internal/dataset"
@@ -363,5 +366,156 @@ func TestGroupCoverageAllocatesPerSplitNotPerBlock(t *testing.T) {
 	}
 	if allocs > 10 {
 		t.Errorf("%.0f allocations for 1000 initial blocks, want at most 10", allocs)
+	}
+}
+
+func TestGroupCoverageRoundsMatchesGroundTruth(t *testing.T) {
+	rng := rand.New(rand.NewSource(301))
+	for trial := 0; trial < 80; trial++ {
+		n := 1 + rng.Intn(2000)
+		f := rng.Intn(n + 1)
+		tau := 1 + rng.Intn(60)
+		setSize := 1 + rng.Intn(100)
+		d, err := dataset.BinaryWithMinority(n, f, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := dataset.Female(d.Schema())
+		res, err := GroupCoverageRounds(context.Background(), NewTruthOracle(d), d.IDs(), setSize, tau, g, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Covered != (f >= tau) {
+			t.Fatalf("trial %d (N=%d f=%d tau=%d): covered=%v, want %v",
+				trial, n, f, tau, res.Covered, f >= tau)
+		}
+		if !res.Covered && (!res.Exact || res.Count != f) {
+			t.Fatalf("trial %d: uncovered count %d (exact=%v), want %d", trial, res.Count, res.Exact, f)
+		}
+	}
+}
+
+// postCounter is a native BatchOracle that counts the HITs posted to
+// it, answered or later dropped.
+type postCounter struct {
+	BatchOracle
+	posted int
+}
+
+func (c *postCounter) SetQueryBatch(reqs []SetRequest) ([]bool, error) {
+	c.posted += len(reqs)
+	return c.BatchOracle.SetQueryBatch(reqs)
+}
+
+// TestGroupCoverageRoundsEqualsAlgorithm1: posting the walk's whole
+// queue each round changes the rounds, not the result. Over randomized
+// truthful instances the batched audit returns GroupCoverage's
+// GroupResult exactly, in at most 1+ceil(log2 n) rounds, and posts at
+// least the tasks it counts: answers dropped after the stop or under
+// an inferred sibling were paid but not counted.
+func TestGroupCoverageRoundsEqualsAlgorithm1(t *testing.T) {
+	rng := rand.New(rand.NewSource(303))
+	dropped := 0
+	for trial := 0; trial < 400; trial++ {
+		size := 1 + rng.Intn(3000)
+		d, err := dataset.BinaryWithMinority(size, rng.Intn(size+1), rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, tau := 1+rng.Intn(128), 1+rng.Intn(80)
+		g := dataset.Female(d.Schema())
+		want, err := GroupCoverage(NewTruthOracle(d), d.IDs(), n, tau, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := &postCounter{BatchOracle: NewTruthOracle(d)}
+		got, err := GroupCoverageRounds(context.Background(), o, d.IDs(), n, tau, g, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.GroupResult, want) {
+			t.Fatalf("trial %d (N=%d n=%d tau=%d): %+v, want %+v", trial, size, n, tau, got.GroupResult, want)
+		}
+		if bound := 1 + bits.Len(uint(n-1)); got.Rounds > bound {
+			t.Fatalf("trial %d: %d rounds, want <= 1+ceil(log2 %d) = %d", trial, got.Rounds, n, bound)
+		}
+		if o.posted < got.Tasks {
+			t.Fatalf("trial %d: posted %d HITs, fewer than the %d tasks counted", trial, o.posted, got.Tasks)
+		}
+		dropped += o.posted - got.Tasks
+	}
+	if dropped == 0 {
+		t.Error("no instance posted an answer it dropped; the instances never exercise the stop or the inference")
+	}
+}
+
+func TestGroupCoverageRoundsLatencyBound(t *testing.T) {
+	// Rounds are bounded by 1 + ceil(log2 setSize): one round per tree
+	// level, all trees advancing together.
+	rng := rand.New(rand.NewSource(302))
+	d, err := dataset.BinaryWithMinority(5000, 40, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := dataset.Female(d.Schema())
+	res, err := GroupCoverageRounds(context.Background(), NewTruthOracle(d), d.IDs(), 64, 50, g, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rounds > 7 { // 1 + log2(64)
+		t.Errorf("rounds = %d, want <= 7", res.Rounds)
+	}
+	// The sequential algorithm takes one "round" per task; the batch
+	// variant must be dramatically lower latency.
+	seq, err := GroupCoverage(NewTruthOracle(d), d.IDs(), 64, 50, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rounds*10 > seq.Tasks {
+		t.Errorf("rounds %d not much below sequential latency %d", res.Rounds, seq.Tasks)
+	}
+	// And it commits exactly the sequential algorithm's tasks.
+	if !reflect.DeepEqual(res.GroupResult, seq) {
+		t.Errorf("batched %+v, want the sequential %+v", res.GroupResult, seq)
+	}
+}
+
+func TestGroupCoverageRoundsValidationAndDegenerate(t *testing.T) {
+	d := binaryDataset(t, []int{0, 1})
+	o := NewTruthOracle(d)
+	g := female(d)
+	ctx := context.Background()
+	if _, err := GroupCoverageRounds(ctx, nil, d.IDs(), 1, 1, g, 4); err == nil {
+		t.Error("nil oracle: want error")
+	}
+	if _, err := GroupCoverageRounds(ctx, o, d.IDs(), 0, 1, g, 4); err == nil {
+		t.Error("n=0: want error")
+	}
+	if _, err := GroupCoverageRounds(ctx, o, d.IDs(), 1, -1, g, 4); err == nil {
+		t.Error("tau<0: want error")
+	}
+	res, err := GroupCoverageRounds(ctx, o, d.IDs(), 2, 0, g, 4)
+	if err != nil || !res.Covered || res.Rounds != 0 {
+		t.Errorf("tau=0: %+v, %v", res, err)
+	}
+	res, err = GroupCoverageRounds(ctx, o, nil, 2, 1, g, 4)
+	if err != nil || res.Covered || !res.Exact {
+		t.Errorf("empty ids: %+v, %v", res, err)
+	}
+	// parallelism < 1 falls back to a sane default.
+	res, err = GroupCoverageRounds(ctx, o, d.IDs(), 2, 1, g, 0)
+	if err != nil || !res.Covered {
+		t.Errorf("default parallelism: %+v, %v", res, err)
+	}
+}
+
+func TestGroupCoverageRoundsPropagatesErrors(t *testing.T) {
+	d := binaryDataset(t, []int{0, 1, 0, 1, 0, 1, 0, 1})
+	flaky := &FlakyOracle{Inner: NewTruthOracle(d), FailEvery: 3}
+	// Use parallelism 1 so FlakyOracle's unsynchronized counter is
+	// exercised deterministically.
+	_, err := GroupCoverageRounds(context.Background(), flaky, d.IDs(), 4, 4, female(d), 1)
+	if !errors.Is(err, ErrTransient) {
+		t.Errorf("err = %v, want ErrTransient", err)
 	}
 }

@@ -23,7 +23,9 @@ import (
 // a round holds the next query of every live walk, in canonical
 // (task, seq) order: by walk index, where the engine's walk order
 // encodes its (super-group, member) ordering, then by the walk's own
-// query sequence. In sequential mode the walks run one after another.
+// query sequence. A batched single-group audit (GroupCoverageRounds)
+// widens the engine's window so its one walk offers its whole queue
+// each round. In sequential mode the walks run one after another.
 // One loop does both, with no goroutine per walk or per round.
 //
 // An order-dependent oracle like the crowd Platform consumes its RNG
@@ -57,12 +59,15 @@ type engine struct {
 	o Oracle
 	// bo commits lockstep mode's rounds; nil in sequential mode.
 	bo BatchOracle
+	// window is how many pending queries each walk offers a lockstep
+	// round: 1, or unbounded for GroupCoverageRounds.
+	window int
 }
 
 // newEngine picks the mode: lockstep rounds when lockstep is set or
 // parallelism > 1, sequential queries otherwise.
 func newEngine(ctx context.Context, o Oracle, lockstep bool, parallelism int) engine {
-	e := engine{ctx: ctx, o: o}
+	e := engine{ctx: ctx, o: o, window: 1}
 	if lockstep || parallelism > 1 {
 		e.bo = AsBatchOracle(o, normalizeParallelism(parallelism))
 	}
@@ -70,10 +75,10 @@ func newEngine(ctx context.Context, o Oracle, lockstep bool, parallelism int) en
 }
 
 // run drives walks to completion and returns the error of the first
-// walk, in walk order, that failed. Lockstep mode posts the next query
-// of every live walk as one round; sequential mode runs the walks one
-// after another, each query alone. Either way a failure stops the
-// audit before another query is posted.
+// walk, in walk order, that failed. Lockstep mode posts the next
+// window queries of every live walk as one round; sequential mode runs
+// the walks one after another, each query alone. Either way a failure
+// stops the audit before another query is posted.
 func (e engine) run(walks ...*groupWalk) error {
 	if e.bo == nil {
 		var one [1]bool
@@ -101,7 +106,7 @@ func (e engine) run(walks ...*groupWalk) error {
 		round = round[:0]
 		keep := live[:0]
 		for _, w := range live {
-			if reqs := w.next(1); len(reqs) > 0 {
+			if reqs := w.next(e.window); len(reqs) > 0 {
 				round = append(round, reqs...)
 				keep = append(keep, w)
 			}

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/bits"
 	"reflect"
 	"testing"
 
@@ -85,7 +87,8 @@ func (o *truthRounds) PointQueryBatch(ids []dataset.ObjectID) ([][]int, error) {
 // order, and sequential mode concatenates the walks. A budget cut
 // commits exactly the first cut requests of that sequence, and each
 // walk's result equals its lone run with the queries it got. A walk
-// asked for several queries at a time reaches the same verdict.
+// the engine asks for several queries a round, or for its whole queue,
+// reaches the same result.
 func FuzzLockstepOrder(f *testing.F) {
 	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6}, uint8(3), uint8(4), uint8(0))
 	f.Add([]byte{0, 0, 0}, uint8(7), uint8(1), uint8(9))
@@ -215,20 +218,28 @@ func FuzzLockstepOrder(f *testing.F) {
 			}
 		}
 
-		// Windows wider than one query: with truthful answers the
-		// verdict and count equal the one-query walk's; only the
-		// answers discarded after the stop or under an inferred
-		// sibling can differ.
+		// Windows wider than one query, up to the whole queue, through
+		// the engine: with truthful answers the committed sequence is
+		// Algorithm 1's, so the result equals the one-query walk's,
+		// Tasks included; only the answers dropped after the stop or
+		// under an inferred sibling were posted on top. The unbounded
+		// window takes at most one round per tree level.
 		for i := range ids {
-			limit := int(byteAt(5*i+4))%6 + 2
-			w := newGroupWalk(ids[i], n, taus[i], g, GroupCoverageOptions{})
-			o := &truthRounds{member: member}
-			for reqs := w.next(limit); len(reqs) > 0; reqs = w.next(limit) {
-				w.apply(o.SetQueryBatch(reqs))
-			}
 			want := lone(i, len(alone[i]))
-			if w.res.Covered != want.Covered || w.res.Count != want.Count || w.res.Exact != want.Exact {
-				t.Fatalf("walk %d with window %d: %+v, want the verdict of %+v", i, limit, w.res, want)
+			for _, window := range []int{int(byteAt(5*i+4))%6 + 2, math.MaxInt} {
+				w := newGroupWalk(ids[i], n, taus[i], g, GroupCoverageOptions{})
+				o := &truthRounds{member: member}
+				e := newEngine(context.Background(), o, true, parallelism)
+				e.window = window
+				if err := e.run(w); err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(w.res, want) {
+					t.Fatalf("walk %d with window %d: %+v, want %+v", i, window, w.res, want)
+				}
+				if bound := 1 + bits.Len(uint(n-1)); window == math.MaxInt && len(o.rounds) > bound {
+					t.Fatalf("walk %d with the whole queue: %d rounds, want <= %d", i, len(o.rounds), bound)
+				}
 			}
 		}
 	})

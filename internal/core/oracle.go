@@ -40,9 +40,8 @@ func (t TaskCounts) String() string {
 // TruthOracle answers every query from ground truth with no noise and
 // no redundancy. It reproduces the paper's synthetic "simulation of
 // the crowd" (section 6.5) and doubles as the reference oracle in
-// tests. It also counts tasks and is safe for concurrent use (the
-// level-synchronous driver issues whole rounds of queries in
-// parallel).
+// tests. It also counts tasks and is safe for concurrent use (a
+// worker pool may answer a round's queries in parallel).
 type TruthOracle struct {
 	ds *dataset.Dataset
 

@@ -325,9 +325,8 @@ func TestParallelIntersectionalAgrees(t *testing.T) {
 	}
 }
 
-// TestRoundsBatchedMatchesLegacy pins the reworked level-synchronous
-// driver: batched rounds still agree with the sequential algorithm's
-// verdict and report the same round structure at any pool width.
+// TestRoundsBatchedParallelismInvariant: the batched audit agrees with
+// itself, round structure included, at any pool width.
 func TestRoundsBatchedParallelismInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	d, err := dataset.BinaryWithMinority(1200, 45, rng)
@@ -335,12 +334,12 @@ func TestRoundsBatchedParallelismInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := dataset.Female(d.Schema())
-	base, err := GroupCoverageRounds(NewTruthOracle(d), d.IDs(), 32, 50, g, 1)
+	base, err := GroupCoverageRounds(context.Background(), NewTruthOracle(d), d.IDs(), 32, 50, g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range []int{4, 16} {
-		res, err := GroupCoverageRounds(NewTruthOracle(d), d.IDs(), 32, 50, g, par)
+		res, err := GroupCoverageRounds(context.Background(), NewTruthOracle(d), d.IDs(), 32, 50, g, par)
 		if err != nil {
 			t.Fatal(err)
 		}

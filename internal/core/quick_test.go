@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -85,7 +86,7 @@ func TestQuickRoundsAgreesWithSequential(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		par, err := GroupCoverageRounds(NewTruthOracle(d), d.IDs(), 32, tau, g, 4)
+		par, err := GroupCoverageRounds(context.Background(), NewTruthOracle(d), d.IDs(), 32, tau, g, 4)
 		if err != nil {
 			return false
 		}

@@ -1,6 +1,7 @@
 package crowd
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -111,7 +112,7 @@ func TestGroupCoverageRoundsOverPlatformIsParallelismInvariant(t *testing.T) {
 	var base core.RoundsResult
 	for i, par := range []int{1, 4, 16} {
 		p, d := buildPlatform(t, 61)
-		res, err := core.GroupCoverageRounds(p, d.IDs(), 10, 40, dataset.Female(d.Schema()), par)
+		res, err := core.GroupCoverageRounds(context.Background(), p, d.IDs(), 10, 40, dataset.Female(d.Schema()), par)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,9 +35,10 @@ type SetRequest struct {
 // failed. Many implementations return nil answers on error (nothing
 // committed); the BudgetedOracle governor uses the prefix form to hand
 // back the answers the remaining budget could still afford, the
-// adapter over a plain oracle returns the requests answered before the
-// lowest failing one, and the round loop delivers such a prefix to
-// its walks instead of discarding paid answers.
+// adapter over a plain oracle and the crowd Platform return the
+// requests answered before the lowest failing one, and the round loop
+// delivers such a prefix to its walks instead of discarding paid
+// answers.
 //
 // Callers own the request slices: an implementation reads reqs (and
 // ids) during the call and keeps no reference to the slice afterwards.

@@ -34,18 +34,22 @@ import (
 //     re-enter the queue at the back, so the committed results are the
 //     same for any clip width.
 //
-// The walk has the two modes of the round loop (lockstep.go):
+// Every phase posts through the engine's sets and points
+// (lockstep.go), so the walk has the engine's two modes:
 //
 //   - Sequential (Parallelism <= 1 without Lockstep): Label and
 //     Partition rounds hold one query each, and every round posts its
 //     queries one at a time, in order, through the audit's oracle. The
 //     oracle stack sees the paper's sequential query sequence.
-//   - Lockstep (Lockstep, or Parallelism > 1): every round posts
-//     straight to the batch oracle as one batch, in the order its
-//     queries were issued. Round composition is a pure function of
-//     previously committed answers — never of Parallelism — so the
-//     full ClassifierResult is bit-identical at every Parallelism value
+//   - Lockstep (Lockstep, or Parallelism > 1): every round posts as
+//     one batch through the batch oracle, in the order its queries
+//     were issued. Round composition is a pure function of previously
+//     committed answers — never of Parallelism — so the full
+//     ClassifierResult is bit-identical at every Parallelism value
 //     even through order-dependent oracles like the crowd Platform.
+//
+// The residual hunt (lines 6-7 of Algorithm 4) is one Algorithm 1 walk
+// on the same engine.
 //
 // Both modes commit in the same order, so for order-independent
 // oracles Strategy, Count, Exact and the task breakdown are the same in
@@ -61,18 +65,13 @@ import (
 // oracle; lockstep rounds read its headroom to narrow speculative
 // rounds.
 type classifierEngine struct {
-	engine
+	*engine
 	gov *BudgetedOracle
 	g   pattern.Group
 
-	// Per-round scratch, reused across rounds so a one-query round
-	// costs no more per HIT than a direct oracle call: sequential
-	// mode's answers, and the Partition round's nodes and requests.
-	// The walk reads a round's answers before it posts the next round.
-	labels  [][]int
-	answers []bool
-	batch   []*node
-	reqs    []SetRequest
+	// The Partition round's queued nodes, reused across rounds like the
+	// engine's round scratch, which holds the round's requests.
+	batch []*node
 }
 
 // newClassifierEngine builds the walk's engine for group g.
@@ -88,55 +87,6 @@ func (e *classifierEngine) roundCap(kind HITKind, setSize int) int {
 		return 1
 	}
 	return headroomOf(e.gov, kind, setSize)
-}
-
-// pointRound posts one round of point queries over ids and returns the
-// labels of its committed prefix: all of them, unless err is set. The
-// labels are valid until the next round.
-func (e *classifierEngine) pointRound(ids []dataset.ObjectID) ([][]int, error) {
-	if e.bo != nil {
-		if err := e.ctx.Err(); err != nil {
-			return nil, err
-		}
-		return e.bo.PointQueryBatch(ids)
-	}
-	e.labels = e.labels[:0]
-	for _, id := range ids {
-		err := e.ctx.Err()
-		var labels []int
-		if err == nil {
-			labels, err = e.o.PointQuery(id)
-		}
-		if err != nil {
-			return e.labels, err
-		}
-		e.labels = append(e.labels, labels)
-	}
-	return e.labels, nil
-}
-
-// reverseRound posts one round of reverse set queries ("is anyone
-// here NOT in g?"); see pointRound.
-func (e *classifierEngine) reverseRound(reqs []SetRequest) ([]bool, error) {
-	if e.bo != nil {
-		if err := e.ctx.Err(); err != nil {
-			return nil, err
-		}
-		return e.bo.SetQueryBatch(reqs)
-	}
-	e.answers = e.answers[:0]
-	for _, r := range reqs {
-		err := e.ctx.Err()
-		var ans bool
-		if err == nil {
-			ans, err = e.o.ReverseSetQuery(r.IDs, r.Group)
-		}
-		if err != nil {
-			return e.answers, err
-		}
-		e.answers = append(e.answers, ans)
-	}
-	return e.answers, nil
 }
 
 // labelCleanRounds is the Label function of Algorithm 5 in bounded
@@ -176,7 +126,7 @@ func (e *classifierEngine) labelCleanRounds(predicted []dataset.ObjectID, sample
 					roundIDs = append(roundIDs, predicted[j])
 				}
 			}
-			round, err = e.pointRound(roundIDs)
+			round, err = e.points(roundIDs)
 			if err != nil && !errors.Is(err, ErrBudgetExhausted) {
 				return verified, exactClean, tasks, false, err
 			}
@@ -226,7 +176,7 @@ func (e *classifierEngine) partitionCleanRounds(predicted []dataset.ObjectID, n,
 		// queued nodes in batch.
 		need := stopAt - confirmed
 		room := e.roundCap(HITReverseSet, n)
-		batch, reqs := e.batch[:0], e.reqs[:0]
+		batch, reqs := e.batch[:0], e.round[:0]
 		blocks, sum, full := 0, 0, false
 		for b := blk; b < len(predicted) && !full; b += n {
 			end := min(b+n, len(predicted))
@@ -241,8 +191,8 @@ func (e *classifierEngine) partitionCleanRounds(predicted []dataset.ObjectID, n,
 			sum += t.size()
 			full = sum >= need || len(reqs) >= room
 		}
-		e.batch, e.reqs = batch, reqs
-		answers, err := e.reverseRound(reqs)
+		e.batch, e.round = batch, reqs
+		answers, err := e.sets(reqs)
 		if err != nil && !errors.Is(err, ErrBudgetExhausted) {
 			return confirmed, false, tasks, false, err
 		}

@@ -176,22 +176,13 @@ func ClassifierCoverage(o Oracle, ids, predicted []dataset.ObjectID, n, tau int,
 	gov := governorOf(o)
 	o = withRetry(ctx, o, opts.Retry, opts.Rng, opts.Parallelism)
 
-	// Without predictions there is nothing to exploit.
-	if len(predicted) == 0 {
-		gc, err := GroupCoverage(o, ids, n, tau, g)
-		if err != nil {
-			return res, err
-		}
-		res.Covered = gc.Covered
-		res.Count = gc.Count
-		res.Exact = gc.Exact
-		res.Exhausted = gc.Exhausted
-		res.ResidualTasks = gc.Tasks
-		res.Tasks = gc.Tasks
-		return res, nil
-	}
-
 	e := newClassifierEngine(o, gov, ctx, opts.Lockstep, opts.Parallelism, g)
+
+	// Without predictions there is nothing to exploit: the residual
+	// hunt is the whole audit.
+	if len(predicted) == 0 {
+		return e.finish(ids, inPredicted, n, tau, 0, true, res)
+	}
 
 	// Line 2-3: estimate precision on a sample of G, posted as one
 	// point-query round in Rng.Perm draw order.
@@ -200,7 +191,7 @@ func ClassifierCoverage(o Oracle, ids, predicted []dataset.ObjectID, n, tau int,
 	for i, idx := range opts.Rng.Perm(len(predicted))[:sampleSize] {
 		sample[i] = predicted[idx]
 	}
-	labels, err := e.pointRound(sample)
+	labels, err := e.points(sample)
 	sampled := make(map[dataset.ObjectID]bool, sampleSize)
 	truePos := 0
 	// A failed round settles on its answered prefix.
@@ -239,7 +230,7 @@ func ClassifierCoverage(o Oracle, ids, predicted []dataset.ObjectID, n, tau int,
 		return classifierExhausted(res, verified, tau), nil
 	}
 
-	return classifierFinish(o, ids, inPredicted, n, tau, verified, exactClean, g, res)
+	return e.finish(ids, inPredicted, n, tau, verified, exactClean, res)
 }
 
 // classifierExhausted settles a classifier audit whose budget ran out:
@@ -266,12 +257,13 @@ func sampleBudget(fraction float64, predicted int) int {
 	return size
 }
 
-// classifierFinish is lines 6-7 of Algorithm 4: enough verified
-// positives end the audit; otherwise Group-Coverage hunts the
-// remaining tau - verified false negatives in D - G. The residual
-// search is a single adaptive query chain (each set query depends on
-// the previous answer), so it runs sequentially in either mode.
-func classifierFinish(o Oracle, ids []dataset.ObjectID, inPredicted map[dataset.ObjectID]bool, n, tau, verified int, exactClean bool, g pattern.Group, res ClassifierResult) (ClassifierResult, error) {
+// finish is lines 6-7 of Algorithm 4: enough verified positives end
+// the audit; otherwise Group-Coverage hunts the remaining tau -
+// verified false negatives in D - G. The residual search is one
+// Algorithm 1 walk through the engine: an adaptive query chain (each
+// set query depends on the previous answer), so in lockstep mode each
+// of its rounds holds one query.
+func (e *classifierEngine) finish(ids []dataset.ObjectID, inPredicted map[dataset.ObjectID]bool, n, tau, verified int, exactClean bool, res ClassifierResult) (ClassifierResult, error) {
 	// Line 6: enough verified positives end the audit.
 	if verified >= tau {
 		res.Covered = true
@@ -287,10 +279,11 @@ func classifierFinish(o Oracle, ids []dataset.ObjectID, inPredicted map[dataset.
 			rest = append(rest, id)
 		}
 	}
-	gc, err := GroupCoverage(o, rest, n, tau-verified, g)
-	if err != nil {
+	w := newGroupWalk(rest, n, tau-verified, e.g, GroupCoverageOptions{})
+	if err := e.run(w); err != nil {
 		return res, err
 	}
+	gc := w.res
 	res.ResidualTasks = gc.Tasks
 	res.Covered = gc.Covered
 	res.Count = verified + gc.Count

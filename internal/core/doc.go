@@ -5,8 +5,9 @@
 //     procedure deciding whether one group reaches the coverage
 //     threshold tau with Theta(N/n + tau log n) set queries;
 //   - Base-Coverage (Algorithm 7): the point-query baseline;
-//   - Multiple-Coverage (Algorithm 2) with LabelSamples and Aggregate
-//     (Algorithm 6): the super-group heuristic for many groups;
+//   - Multiple-Coverage (Algorithm 2) with its sampling phase and
+//     Aggregate (Algorithm 6): the super-group heuristic for many
+//     groups;
 //   - Intersectional-Coverage (Algorithm 3): MUP discovery over the
 //     pattern graph of several sensitive attributes;
 //   - Classifier-Coverage (Algorithm 4) with Partition and Label
@@ -32,7 +33,8 @@
 //     rounds; single queries are one-element rounds.
 //   - MultipleOptions.Parallelism runs Multiple-Coverage with
 //     super-group audits and covered-penalty re-audits as walks that
-//     share lockstep rounds, and batched sampling. Verdicts, task
+//     share lockstep rounds, and the sampling phase as one point-query
+//     round. Verdicts, task
 //     counts and result bytes match the sequential engine exactly for
 //     order-independent oracles at any parallelism.
 //   - RetryPolicy (retry.go) re-posts transiently failing HITs with
@@ -56,8 +58,11 @@
 //     query-sequence) order, so even order-dependent oracles produce
 //     bit-identical verdicts, task counts and spend at every
 //     Parallelism value. No walk or round runs in a goroutine of its
-//     own. In sequential mode the same walks run one after another,
-//     each query posted alone.
+//     own. In sequential mode the same loop runs over one walk at a
+//     time. Every phase of every audit posts through the engine's two
+//     methods, sets and points: a lockstep round is one batch through
+//     the batch oracle, and a sequential round posts each query alone,
+//     in order, through the oracle's single-query methods.
 //   - Classifier-Coverage (classifier_parallel.go) is one round walk
 //     with the engine's two modes. In lockstep mode (Lockstep, or
 //     Parallelism > 1) it comes under the same contract: the precision
@@ -67,11 +72,11 @@
 //     stop (stop at the first index where verified >= tau, discard
 //     later in-flight answers), and the Partition phase as clipped
 //     reverse-set rounds with the sibling inference applied at commit
-//     time, each round posted straight to the batch oracle. Round
-//     composition is a pure function of committed answers — never of
-//     the pool width. In sequential mode (Parallelism <= 1) the same
-//     walk posts one query per Label and Partition round and every
-//     query on its own, in the paper's order.
+//     time. The residual hunt is one Algorithm 1 walk on the same
+//     engine. Round composition is a pure function of committed
+//     answers — never of the pool width. In sequential mode
+//     (Parallelism <= 1) the same walk posts one query per Label and
+//     Partition round, in the paper's order.
 //
 // The determinism contract rests on two engines: the sequential
 // reference (Parallelism <= 1) and lockstep rounds (Parallelism > 1;

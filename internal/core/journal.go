@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"imagecvg/internal/dataset"
@@ -260,7 +261,7 @@ func (j *JournalingOracle) PointQueryBatch(ids []dataset.ObjectID) ([][]int, err
 		return nil, err
 	}
 	if rec, ok := j.nextReplay(); ok {
-		if !rec.IsPointRound() || !objectIDsEqual(rec.Points, ids) {
+		if !rec.IsPointRound() || !slices.Equal(rec.Points, ids) {
 			return nil, fmt.Errorf("%w: round %d issued a different point round than the journal recorded", ErrJournalMismatch, j.round)
 		}
 		j.consumeReplay(rec)
@@ -333,39 +334,8 @@ func setRequestsEqual(a, b []SetRequest) bool {
 	}
 	for i := range a {
 		if a[i].Reverse != b[i].Reverse || a[i].Group.Name != b[i].Group.Name ||
-			!objectIDsEqual(a[i].IDs, b[i].IDs) || !patternsEqual(a[i].Group.Members, b[i].Group.Members) {
+			!slices.Equal(a[i].IDs, b[i].IDs) || !slices.EqualFunc(a[i].Group.Members, b[i].Group.Members, slices.Equal[pattern.Pattern]) {
 			return false
-		}
-	}
-	return true
-}
-
-// objectIDsEqual compares id slices element-wise.
-func objectIDsEqual(a, b []dataset.ObjectID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// patternsEqual compares pattern slices element-wise.
-func patternsEqual(a, b []pattern.Pattern) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for k := range a[i] {
-			if a[i][k] != b[i][k] {
-				return false
-			}
 		}
 	}
 	return true

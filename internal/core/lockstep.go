@@ -2,17 +2,20 @@ package core
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"imagecvg/internal/dataset"
 	"imagecvg/internal/pattern"
 )
 
-// This file is the round loop every audit engine posts through. An
-// audit runs in one of two modes:
+// This file is the engine every audit phase posts through: two round
+// posters, sets and points, and the round loop over Algorithm 1 walks
+// built on sets. An audit runs in one of two modes:
 //
-//   - Sequential (Parallelism <= 1 without Lockstep): every query is
-//     posted alone, through the audit's oracle, in the paper's order.
+//   - Sequential (Parallelism <= 1 without Lockstep): a round posts
+//     each query alone, through the single-query methods of the
+//     audit's oracle, in the paper's order.
 //   - Lockstep (Lockstep, or Parallelism > 1): the audit advances in
 //     rounds, and each round commits as one BatchOracle batch through
 //     AsBatchOracle(o, Parallelism).
@@ -25,8 +28,9 @@ import (
 // encodes its (super-group, member) ordering, then by the walk's own
 // query sequence. A batched single-group audit (GroupCoverageRounds)
 // widens the engine's window so its one walk offers its whole queue
-// each round. In sequential mode the walks run one after another.
-// One loop does both, with no goroutine per walk or per round.
+// each round. In sequential mode the same loop runs over one walk at
+// a time, so the walks run one after another. No goroutine runs per
+// walk or per round.
 //
 // An order-dependent oracle like the crowd Platform consumes its RNG
 // per HIT in arrival order. Round composition and commit order are
@@ -62,71 +66,116 @@ type engine struct {
 	// window is how many pending queries each walk offers a lockstep
 	// round: 1, or unbounded for GroupCoverageRounds.
 	window int
+
+	// Per-round scratch, reused across rounds so a round costs no
+	// allocation once warm: a round's set queries, and sequential
+	// mode's answers. A round's answers are valid until the next round.
+	round   []SetRequest
+	answers []bool
+	labels  [][]int
 }
 
 // newEngine picks the mode: lockstep rounds when lockstep is set or
 // parallelism > 1, sequential queries otherwise.
-func newEngine(ctx context.Context, o Oracle, lockstep bool, parallelism int) engine {
-	e := engine{ctx: ctx, o: o, window: 1}
+func newEngine(ctx context.Context, o Oracle, lockstep bool, parallelism int) *engine {
+	e := &engine{ctx: ctx, o: o, window: 1}
 	if lockstep || parallelism > 1 {
 		e.bo = AsBatchOracle(o, normalizeParallelism(parallelism))
 	}
 	return e
 }
 
-// run drives walks to completion and returns the error of the first
-// walk, in walk order, that failed. Lockstep mode posts the next
-// window queries of every live walk as one round; sequential mode runs
-// the walks one after another, each query alone. Either way a failure
-// stops the audit before another query is posted.
-func (e engine) run(walks ...*groupWalk) error {
-	if e.bo == nil {
-		var one [1]bool
-		for _, w := range walks {
-			for reqs := w.next(1); len(reqs) > 0; reqs = w.next(1) {
-				err := e.ctx.Err()
-				if err == nil {
-					one[0], err = e.o.SetQuery(reqs[0].IDs, reqs[0].Group)
-				}
-				if err != nil {
-					w.apply(nil, err)
-				} else {
-					w.apply(one[:], nil)
-				}
-			}
-			if w.err != nil {
-				return w.err
-			}
+// sets posts one round of set or reverse-set queries and returns the
+// answers of its committed prefix: all of them, unless err is set.
+// Lockstep mode posts the round as one batch through bo; sequential
+// mode posts each query alone, in order, through o. The context is
+// checked before every commit.
+func (e *engine) sets(reqs []SetRequest) ([]bool, error) {
+	if e.bo != nil {
+		if err := e.ctx.Err(); err != nil {
+			return nil, err
 		}
-		return nil
+		return e.bo.SetQueryBatch(reqs)
 	}
-	live := append([]*groupWalk(nil), walks...)
-	var round []SetRequest
-	for {
-		round = round[:0]
-		keep := live[:0]
-		for _, w := range live {
-			if reqs := w.next(e.window); len(reqs) > 0 {
-				round = append(round, reqs...)
-				keep = append(keep, w)
-			}
+	e.answers = slices.Grow(e.answers[:0], len(reqs))
+	for _, r := range reqs {
+		if err := e.ctx.Err(); err != nil {
+			return e.answers, err
 		}
-		live = keep
+		query := e.o.SetQuery
+		if r.Reverse {
+			query = e.o.ReverseSetQuery
+		}
+		ans, err := query(r.IDs, r.Group)
+		if err != nil {
+			return e.answers, err
+		}
+		e.answers = append(e.answers, ans)
+	}
+	return e.answers, nil
+}
+
+// points posts one round of point queries over ids; see sets.
+func (e *engine) points(ids []dataset.ObjectID) ([][]int, error) {
+	if e.bo != nil {
+		if err := e.ctx.Err(); err != nil {
+			return nil, err
+		}
+		return e.bo.PointQueryBatch(ids)
+	}
+	e.labels = slices.Grow(e.labels[:0], len(ids))
+	for _, id := range ids {
+		if err := e.ctx.Err(); err != nil {
+			return e.labels, err
+		}
+		labels, err := e.o.PointQuery(id)
+		if err != nil {
+			return e.labels, err
+		}
+		e.labels = append(e.labels, labels)
+	}
+	return e.labels, nil
+}
+
+// run drives walks to completion and returns the error of the first
+// walk, in walk order, that failed. Lockstep mode runs the walks
+// together; sequential mode runs the same loop over one walk at a
+// time. Either way a failure stops the audit before another query is
+// posted.
+func (e *engine) run(walks ...*groupWalk) error {
+	if e.bo != nil {
+		return e.rounds(walks)
+	}
+	for i := range walks {
+		if err := e.rounds(walks[i : i+1]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// rounds posts the next window queries of every walk still running
+// as one round through sets, and hands each walk its share of the
+// answers, until every walk is done or one has failed.
+func (e *engine) rounds(walks []*groupWalk) error {
+	for {
+		round := e.round[:0]
+		for _, w := range walks {
+			round = append(round, w.next(e.window)...)
+		}
+		e.round = round
 		if len(round) == 0 {
 			return nil
 		}
-		var answers []bool
-		err := e.ctx.Err()
-		if err == nil {
-			answers, err = e.bo.SetQueryBatch(round)
-		}
+		answers, err := e.sets(round)
 		off := 0
-		for _, w := range live {
-			k := len(w.reqs)
-			w.apply(answers[min(off, len(answers)):min(off+k, len(answers))], err)
-			off += k
+		for _, w := range walks {
+			if k := len(w.reqs); k > 0 {
+				w.apply(answers[min(off, len(answers)):min(off+k, len(answers))], err)
+				off += k
+			}
 		}
-		for _, w := range live {
+		for _, w := range walks {
 			if w.err != nil {
 				return w.err
 			}

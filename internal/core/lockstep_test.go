@@ -402,3 +402,85 @@ func TestLockstepRoundsStartNoGoroutine(t *testing.T) {
 		}
 	}
 }
+
+// TestModeDiscipline: every phase of every audit posts in its engine's
+// mode. Over a native BatchOracle, sequential mode makes only
+// single-query calls and lockstep mode only batch calls, in the
+// Multiple-Coverage sampling phase and penalty re-audits, the
+// Intersectional resolution walks, and the Classifier sample, Label,
+// Partition and residual phases.
+func TestModeDiscipline(t *testing.T) {
+	s := raceSchema()
+	d := dataset.MustFromCounts(s, []int{2000, 30, 28, 26}, rand.New(rand.NewSource(202)))
+	groups := pattern.GroupsForAttribute(s, 0)
+	two := pattern.MustSchema(
+		pattern.Attribute{Name: "a", Values: []string{"0", "1"}},
+		pattern.Attribute{Name: "b", Values: []string{"0", "1"}},
+	)
+	d2 := dataset.MustFromCounts(two, []int{500, 20, 20, 8}, rand.New(rand.NewSource(200)))
+	d3, err := dataset.BinaryWithMinority(2000, 300, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	female := dataset.Female(d3.Schema())
+	// Each audit reports whether it reached the phases it is here for.
+	audits := []struct {
+		name  string
+		ds    *dataset.Dataset
+		audit func(o Oracle, lockstep bool, p int) (bool, error)
+	}{
+		{"multiple", d, func(o Oracle, lockstep bool, p int) (bool, error) {
+			res, err := MultipleCoverage(o, d.IDs(), 50, 50, groups,
+				MultipleOptions{Rng: rand.New(rand.NewSource(11)), Lockstep: lockstep, Parallelism: p})
+			if err != nil {
+				return false, err
+			}
+			penalty := false
+			for _, a := range res.SuperAudits {
+				penalty = penalty || len(a.GroupIndices) > 1 && a.Covered
+			}
+			return res.SampleTasks > 0 && penalty, nil
+		}},
+		{"intersectional", d2, func(o Oracle, lockstep bool, p int) (bool, error) {
+			res, err := IntersectionalCoverage(o, d2.IDs(), 30, 30, two,
+				MultipleOptions{Rng: rand.New(rand.NewSource(8)), Lockstep: lockstep, Parallelism: p})
+			if err != nil {
+				return false, err
+			}
+			return res.ResolutionTasks > 0, nil
+		}},
+		{"classifier-partition", d3, func(o Oracle, lockstep bool, p int) (bool, error) {
+			res, err := ClassifierCoverage(o, d3.IDs(), predictedSet(d3, 250, 10), 15, 280, female,
+				ClassifierOptions{Rng: rand.New(rand.NewSource(3)), Lockstep: lockstep, Parallelism: p})
+			return res.Strategy == StrategyPartition && res.ResidualTasks > 0, err
+		}},
+		{"classifier-label", d3, func(o Oracle, lockstep bool, p int) (bool, error) {
+			res, err := ClassifierCoverage(o, d3.IDs(), predictedSet(d3, 20, 180), 15, 280, female,
+				ClassifierOptions{Rng: rand.New(rand.NewSource(4)), Lockstep: lockstep, Parallelism: p})
+			return res.Strategy == StrategyLabel && res.ResidualTasks > 0, err
+		}},
+	}
+	for _, a := range audits {
+		for _, m := range []struct {
+			name     string
+			lockstep bool
+			p        int
+		}{{"sequential", false, 1}, {"lockstep", true, 1}, {"wide", false, 4}} {
+			counter := &nativeBatchCounter{TruthOracle: NewTruthOracle(a.ds)}
+			reached, err := a.audit(counter, m.lockstep, m.p)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", a.name, m.name, err)
+			}
+			if !reached {
+				t.Fatalf("%s/%s: the audit skipped a phase this test covers", a.name, m.name)
+			}
+			posted, other := counter.batchRounds, counter.singles
+			if !m.lockstep && m.p <= 1 {
+				posted, other = other, posted
+			}
+			if posted == 0 || other != 0 {
+				t.Errorf("%s/%s: %d single-query calls and %d batch calls", a.name, m.name, counter.singles, counter.batchRounds)
+			}
+		}
+	}
+}

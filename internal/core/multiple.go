@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"imagecvg/internal/dataset"
@@ -13,11 +14,11 @@ import (
 
 var errNilOracleOrSet = errors.New("core: nil oracle or labeled set")
 
-// chooseSamples is the selection step shared by LabelSamples and
-// LabelSamplesBatch: it draws up to k random indices and splits the
-// ids into the chosen sample and the remainder, both in input order.
-// Sharing the chooser (and its RNG consumption) is what keeps the
-// sequential and batched sampling phases bit-for-bit interchangeable.
+// chooseSamples is the selection step of labelSamples: it draws up to
+// k random indices and splits the ids into the chosen sample and the
+// remainder, both in input order. The draw never depends on the
+// engine's mode, which keeps the sequential and lockstep sampling
+// phases bit-for-bit interchangeable.
 func chooseSamples(ids []dataset.ObjectID, k int, l *LabeledSet, rng *rand.Rand) (sample, remaining []dataset.ObjectID, err error) {
 	if l == nil {
 		return nil, nil, errNilOracleOrSet
@@ -31,15 +32,14 @@ func chooseSamples(ids []dataset.ObjectID, k int, l *LabeledSet, rng *rand.Rand)
 	if k > len(ids) {
 		k = len(ids)
 	}
-	chosen := make(map[int]bool, k)
-	for _, idx := range rng.Perm(len(ids))[:k] {
-		chosen[idx] = true
-	}
-	sample = make([]dataset.ObjectID, 0, k)
-	remaining = make([]dataset.ObjectID, 0, len(ids)-k)
+	chosen := rng.Perm(len(ids))[:k]
+	slices.Sort(chosen)
+	buf := make([]dataset.ObjectID, len(ids)) // one array backs both
+	sample, remaining = buf[:0:k], buf[k:k]
 	for i, id := range ids {
-		if chosen[i] {
+		if len(chosen) > 0 && chosen[0] == i {
 			sample = append(sample, id)
+			chosen = chosen[1:]
 		} else {
 			remaining = append(remaining, id)
 		}
@@ -47,32 +47,36 @@ func chooseSamples(ids []dataset.ObjectID, k int, l *LabeledSet, rng *rand.Rand)
 	return sample, remaining, nil
 }
 
-// LabelSamples is the sampling phase of section 4 (Algorithm 6): it
-// draws up to k random objects, labels each with a point query, moves
-// them into the labeled set L, and returns the remaining ids (order
-// preserved). The paper uses k = c*tau with c = 2: enough point
-// queries to confirm majority groups outright while estimating the
-// frequencies of the minorities.
+// LabelSamples is the sampling phase of section 4 (Algorithm 6) posted
+// in sequential mode; see labelSamples.
 func LabelSamples(o Oracle, ids []dataset.ObjectID, k int, l *LabeledSet, rng *rand.Rand) (remaining []dataset.ObjectID, tasks int, err error) {
 	if o == nil {
 		return nil, 0, errNilOracleOrSet
 	}
+	return labelSamples(newEngine(context.Background(), o, false, 1), ids, k, l, rng)
+}
+
+// labelSamples is the sampling phase of section 4 (Algorithm 6): it
+// draws up to k random objects, labels them in one round of point
+// queries through e, moves them into the labeled set L, and returns
+// the remaining ids (order preserved). The paper uses k = c*tau with
+// c = 2: enough point queries to confirm majority groups outright
+// while estimating the frequencies of the minorities. A failed round
+// (a budget governor admitting a prefix) keeps every committed, and
+// paid, label in L; the chosen-but-unlabeled suffix stays outside both
+// L and remaining, so callers translating a budget exhaustion into a
+// partial result still get a valid (sample-free) remainder.
+func labelSamples(e *engine, ids []dataset.ObjectID, k int, l *LabeledSet, rng *rand.Rand) (remaining []dataset.ObjectID, tasks int, err error) {
 	sample, remaining, err := chooseSamples(ids, k, l, rng)
 	if err != nil {
 		return nil, 0, err
 	}
-	for _, id := range sample {
-		labels, err := o.PointQuery(id)
-		if err != nil {
-			// The chosen-but-unlabeled suffix stays outside both L and
-			// remaining; callers translating a budget exhaustion into a
-			// partial result still get a valid (sample-free) remainder.
-			return remaining, tasks, err
-		}
-		tasks++
-		l.Add(id, labels)
+	labels, err := e.points(sample)
+	labels = labels[:min(len(labels), len(sample))]
+	for i, lab := range labels {
+		l.Add(sample[i], lab)
 	}
-	return remaining, tasks, nil
+	return remaining, len(labels), err
 }
 
 // ExpectedCount extrapolates |g| from the labeled sample:
@@ -325,17 +329,7 @@ func MultipleCoverage(o Oracle, ids []dataset.ObjectID, n, tau int, groups []pat
 	// only once one query has failed MaxAttempts times. Jitter is drawn
 	// from the parent RNG, which no walk touches.
 	eng := newEngine(ctx, withRetry(ctx, o, opts.Retry, opts.Rng, opts.Parallelism), opts.Lockstep, opts.Parallelism)
-	var (
-		remaining   []dataset.ObjectID
-		sampleTasks int
-		err         error
-	)
-	if eng.bo != nil {
-		// Lockstep: the sampling phase is one batch of point queries.
-		remaining, sampleTasks, err = LabelSamplesBatch(eng.bo, ids, budget, res.Labeled, opts.Rng)
-	} else {
-		remaining, sampleTasks, err = LabelSamples(eng.o, ids, budget, res.Labeled, opts.Rng)
-	}
+	remaining, sampleTasks, err := labelSamples(eng, ids, budget, res.Labeled, opts.Rng)
 	if err != nil {
 		if errors.Is(err, ErrBudgetExhausted) {
 			return settleSamplingExhausted(res, remaining, sampleTasks, groups, len(ids)), nil

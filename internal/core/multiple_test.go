@@ -36,9 +36,6 @@ func TestLabelSamples(t *testing.T) {
 		}
 	}
 	// Labels must be ground truth (perfect oracle).
-	for id := range map[dataset.ObjectID]bool{} {
-		_ = id
-	}
 	total := l.Count(dataset.Female(d.Schema()))
 	want := 0
 	for i := 0; i < d.Size(); i++ {

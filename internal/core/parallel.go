@@ -1,11 +1,8 @@
 package core
 
 import (
-	"math/rand"
 	"sync"
 	"sync/atomic"
-
-	"imagecvg/internal/dataset"
 )
 
 // normalizeParallelism maps non-positive pool widths to 1, the one
@@ -85,32 +82,4 @@ func runBounded(parallelism, n int, fn func(i int) error) []error {
 	close(next)
 	wg.Wait()
 	return errs
-}
-
-// LabelSamplesBatch is the sampling phase of Algorithm 6 issued as one
-// batched oracle round: the same objects LabelSamples would pick with
-// the same RNG (both use chooseSamples) are labeled through a single
-// PointQueryBatch call, so a crowd deployment posts all c*tau sampling
-// HITs concurrently. The returned remaining ids, labeled set, and task
-// count are identical to the sequential LabelSamples for
-// order-independent oracles.
-func LabelSamplesBatch(o BatchOracle, ids []dataset.ObjectID, k int, l *LabeledSet, rng *rand.Rand) (remaining []dataset.ObjectID, tasks int, err error) {
-	if o == nil {
-		return nil, 0, errNilOracleOrSet
-	}
-	batch, remaining, err := chooseSamples(ids, k, l, rng)
-	if err != nil {
-		return nil, 0, err
-	}
-	labels, err := o.PointQueryBatch(batch)
-	// A partial-prefix batch (budget governor) committed — and paid —
-	// the first len(labels) queries: fold them into L so the partial
-	// result keeps every answered HIT, then surface the error.
-	for i := 0; i < len(labels) && i < len(batch); i++ {
-		l.Add(batch[i], labels[i])
-	}
-	if err != nil {
-		return remaining, len(labels), err
-	}
-	return remaining, len(batch), nil
 }

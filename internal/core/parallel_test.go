@@ -153,6 +153,10 @@ func (b *nativeBatchCounter) SetQuery(ids []dataset.ObjectID, g pattern.Group) (
 	b.singles++
 	return b.TruthOracle.SetQuery(ids, g)
 }
+func (b *nativeBatchCounter) ReverseSetQuery(ids []dataset.ObjectID, g pattern.Group) (bool, error) {
+	b.singles++
+	return b.TruthOracle.ReverseSetQuery(ids, g)
+}
 func (b *nativeBatchCounter) PointQuery(id dataset.ObjectID) ([]int, error) {
 	b.singles++
 	return b.TruthOracle.PointQuery(id)
@@ -256,6 +260,8 @@ func TestRetryGivesUpAfterBudget(t *testing.T) {
 	}
 }
 
+// TestLabelSamplesBatchMatchesSequential: the sampling phase labels
+// the same objects, in the same order, whichever mode its engine runs.
 func TestLabelSamplesBatchMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	d, err := dataset.BinaryWithMinority(300, 80, rng)
@@ -263,39 +269,17 @@ func TestLabelSamplesBatchMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	seqL, batchL := NewLabeledSet(), NewLabeledSet()
-	seqRem, seqTasks, err := LabelSamples(NewTruthOracle(d), d.IDs(), 60, seqL, rand.New(rand.NewSource(5)))
+	seqRem, seqTasks, err := labelSamples(newEngine(context.Background(), NewTruthOracle(d), false, 1), d.IDs(), 60, seqL, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	batchRem, batchTasks, err := LabelSamplesBatch(NewTruthOracle(d), d.IDs(), 60, batchL, rand.New(rand.NewSource(5)))
+	batchRem, batchTasks, err := labelSamples(newEngine(context.Background(), NewTruthOracle(d), true, 1), d.IDs(), 60, batchL, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seqTasks != batchTasks || !reflect.DeepEqual(seqRem, batchRem) || !reflect.DeepEqual(seqL, batchL) {
+	if seqTasks != 60 || seqTasks != batchTasks || !reflect.DeepEqual(seqRem, batchRem) || !reflect.DeepEqual(seqL, batchL) {
 		t.Errorf("batched sampling diverged: tasks %d/%d, |rem| %d/%d",
 			seqTasks, batchTasks, len(seqRem), len(batchRem))
-	}
-}
-
-func TestLabelSamplesBatchValidates(t *testing.T) {
-	d := binaryDataset(t, []int{0, 1})
-	o := NewTruthOracle(d)
-	l := NewLabeledSet()
-	rng := rand.New(rand.NewSource(6))
-	if _, _, err := LabelSamplesBatch(nil, d.IDs(), 1, l, rng); err == nil {
-		t.Error("nil oracle: want error")
-	}
-	if _, _, err := LabelSamplesBatch(o, d.IDs(), 1, nil, rng); err == nil {
-		t.Error("nil labeled set: want error")
-	}
-	if _, _, err := LabelSamplesBatch(o, d.IDs(), 1, l, nil); err == nil {
-		t.Error("nil rng: want error")
-	}
-	if _, _, err := LabelSamplesBatch(o, d.IDs(), -1, l, rng); err == nil {
-		t.Error("negative k: want error")
-	}
-	if rem, tasks, err := LabelSamplesBatch(o, d.IDs(), 10, l, rng); err != nil || tasks != 2 || len(rem) != 0 {
-		t.Errorf("clamp: rem=%d tasks=%d err=%v", len(rem), tasks, err)
 	}
 }
 

@@ -110,7 +110,7 @@ func runPerceptionScript(p *Platform, d *dataset.Dataset, seed int64) string {
 	}
 	// Failing rounds: an unknown object after a committed request, and
 	// an empty set. The error must surface before the failing request
-	// draws anything.
+	// draws anything, and a round returns its committed prefix.
 	unknown := dataset.ObjectID(d.Size() + 7)
 	answers, err := p.SetQueryBatch([]core.SetRequest{
 		{IDs: pick(3), Group: groups[0]},

@@ -342,7 +342,7 @@ func (p *Platform) SetQueryBatch(reqs []core.SetRequest) ([]bool, error) {
 	for i, req := range reqs {
 		ans, err := p.setQuery(req.IDs, req.Group, req.Reverse)
 		if err != nil {
-			return nil, err
+			return answers[:i], err
 		}
 		answers[i] = ans
 	}
@@ -357,7 +357,7 @@ func (p *Platform) PointQueryBatch(ids []dataset.ObjectID) ([][]int, error) {
 	for i, id := range ids {
 		l, err := p.pointQuery(id)
 		if err != nil {
-			return nil, err
+			return labels[:i], err
 		}
 		labels[i] = l
 	}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"imagecvg/internal/core"
 	"imagecvg/internal/dataset"
 	"imagecvg/internal/imagegen"
 	"imagecvg/internal/pattern"
@@ -314,5 +315,43 @@ func TestCorruptOneAttrChangesExactlyOne(t *testing.T) {
 		if diff != 1 {
 			t.Fatalf("corruptOneAttrInPlace changed %d attrs: %v -> %v", diff, in, out)
 		}
+	}
+}
+
+// TestPlatformBatchKeepsCommittedPrefix: a round whose request i fails
+// has already drawn, perceived and charged requests 0..i-1, so the
+// batch returns their answers with the error, the partial-prefix form
+// of core.BatchOracle.
+func TestPlatformBatchKeepsCommittedPrefix(t *testing.T) {
+	d := testDataset(t, 60, 6, 2)
+	fem := dataset.Female(d.Schema())
+	unknown := dataset.ObjectID(1 << 30)
+
+	p, err := NewPlatform(d, perfectConfig(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers, err := p.SetQueryBatch([]core.SetRequest{
+		{IDs: d.IDs(), Group: fem},
+		{IDs: []dataset.ObjectID{unknown}, Group: fem},
+	})
+	if err == nil || len(answers) != 1 || !answers[0] {
+		t.Errorf("set round: answers %v, err %v; want [true] and an error", answers, err)
+	}
+	if hits := p.Ledger().TotalHITs(); hits != 1 {
+		t.Errorf("set round: ledger counts %d HITs, want 1", hits)
+	}
+
+	p, err = NewPlatform(d, perfectConfig(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := d.At(0)
+	labels, err := p.PointQueryBatch([]dataset.ObjectID{first.ID, unknown})
+	if err == nil || len(labels) != 1 || labels[0][0] != first.Labels[0] {
+		t.Errorf("point round: labels %v, err %v; want the first object's labels and an error", labels, err)
+	}
+	if hits := p.Ledger().TotalHITs(); hits != 1 {
+		t.Errorf("point round: ledger counts %d HITs, want 1", hits)
 	}
 }

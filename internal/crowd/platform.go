@@ -70,9 +70,11 @@ func DefaultConfig(seed int64) Config {
 
 // Platform is the simulated crowdsourcing marketplace bound to one
 // dataset. Workers look at each object through the clean glyph of its
-// subgroup, rendered once per schema; the platform routes HITs to
-// randomly drawn eligible workers, aggregates their answers, and
-// accounts every HIT in a ledger. It keeps no state per object.
+// subgroup, rendered once per schema and found through the dataset's
+// subgroup index; the platform routes HITs to randomly drawn eligible
+// workers, aggregates their answers, and accounts every HIT in a
+// ledger. It keeps no state per object, and a set HIT decides whether
+// a perceived template answers the question once per template.
 //
 // Platform implements core.Oracle and, natively, core.BatchOracle. A
 // mutex serializes all HITs (worker draws and perception noise share
@@ -108,13 +110,28 @@ type Platform struct {
 	// in-query consumers (Group.Matches, Aggregator, ResponseLog) read
 	// values without retaining the slices. permScratch reproduces
 	// rand.Perm's exact draw sequence without its per-HIT allocation;
-	// see draw.
+	// see draw. matchMemo caches, per perceived template, whether it
+	// answers the current set HIT.
 	permScratch     []int
 	workerScratch   []*Worker
 	answerScratch   []bool
 	subgroupScratch []int
 	pointScratch    [][]int
+	matchMemo       []memo
+
+	// divisors[n] draws rand.Intn(n) without a division, for every
+	// eligible pool size n; see draw.
+	divisors []divisor
 }
+
+// memo is one entry of a set HIT's per-template answer cache.
+type memo uint8
+
+const (
+	memoUnknown memo = iota
+	memoMatch
+	memoNoMatch
+)
 
 // NewPlatform builds a platform over the dataset: renders the clean
 // glyph of every subgroup of its schema, generates the worker pool and
@@ -176,6 +193,11 @@ func NewPlatform(ds *dataset.Dataset, cfg Config) (*Platform, error) {
 		return nil, errors.New("crowd: no eligible workers after quality control")
 	}
 	p.baseEligible = p.eligible
+	p.divisors = make([]divisor, len(p.baseEligible)+1)
+	for n := 1; n < len(p.divisors); n++ {
+		p.divisors[n] = newDivisor(n)
+	}
+	p.matchMemo = make([]memo, renderer.Schema().NumSubgroups())
 	return p, nil
 }
 
@@ -264,7 +286,7 @@ func (p *Platform) draw() []*Worker {
 		// j == i case reads m[i] but immediately overwrites it).
 		m := p.permScratch[:n]
 		for i := 0; i < n; i++ {
-			j := p.rng.Intn(i + 1)
+			j := intn(p.rng, p.divisors[i+1])
 			m[i] = m[j]
 			m[j] = i
 		}
@@ -273,22 +295,20 @@ func (p *Platform) draw() []*Worker {
 		}
 		return out
 	}
+	d := p.divisors[len(p.eligible)]
 	for i := range out {
-		out[i] = p.eligible[p.rng.Intn(len(p.eligible))]
+		out[i] = p.eligible[intn(p.rng, d)]
 	}
 	return out
 }
 
-// subgroup returns the subgroup (template) index of an object; callers
-// hold p.mu.
+// subgroup returns the subgroup (template) index of an object. The
+// dataset validated every object's labels when it was built, so an
+// unknown ID is the only failure.
 func (p *Platform) subgroup(id dataset.ObjectID) (int, error) {
-	o, ok := p.ds.ByID(id)
+	k, ok := p.ds.Subgroup(id)
 	if !ok {
 		return 0, fmt.Errorf("crowd: unknown object %d", id)
-	}
-	k, ok := p.renderer.Index(o.Labels)
-	if !ok {
-		return 0, fmt.Errorf("crowd: object %d has invalid labels %v", id, o.Labels)
 	}
 	return k, nil
 }
@@ -421,14 +441,22 @@ func (p *Platform) setQuery(ids []dataset.ObjectID, g pattern.Group, reverse boo
 		p.answerScratch = make([]bool, len(workers))
 	}
 	answers := p.answerScratch[:len(workers)]
+	// Every worker still perceives each object it looks at, in order and
+	// up to its first yes, so the RNG transcript is unchanged; only the
+	// group test on the perceived template is shared across the HIT.
+	memos := p.matchMemo
+	clear(memos)
 	for i, w := range workers {
 		ans := false
 		for _, k := range subgroups {
-			match := g.Matches(p.renderer.Labels(w.perceive(p.renderer, k)))
-			if reverse {
-				match = !match
+			seen := w.perceive(p.renderer, k)
+			if memos[seen] == memoUnknown {
+				memos[seen] = memoNoMatch
+				if g.Matches(p.renderer.Labels(seen)) != reverse {
+					memos[seen] = memoMatch
+				}
 			}
-			if match {
+			if memos[seen] == memoMatch {
 				ans = true
 				break
 			}

@@ -173,8 +173,13 @@ func TestLedgerAccounting(t *testing.T) {
 	if snap.String() == "" {
 		t.Error("snapshot string empty")
 	}
+	for _, k := range []QueryKind{-1, 3, 9} {
+		if n := p.Ledger().HITs(k); n != 0 {
+			t.Errorf("HITs(%v) = %d, want 0", k, n)
+		}
+	}
 	p.Ledger().Reset()
-	if p.Ledger().TotalHITs() != 0 || p.Ledger().WorkerCost() != 0 {
+	if p.Ledger().TotalHITs() != 0 || p.Ledger().WorkerCost() != 0 || p.Ledger().HITs(SetQuery) != 0 {
 		t.Error("reset did not clear ledger")
 	}
 }

@@ -13,6 +13,8 @@ const (
 	// ReverseSetQuery asks whether a set contains at least one image
 	// NOT in the group (used by Classifier-Coverage's partitioning).
 	ReverseSetQuery
+
+	numQueryKinds
 )
 
 // String implements fmt.Stringer.
@@ -51,7 +53,7 @@ func (p FixedPricing) AssignmentPrice(QueryKind, int) float64 { return p.Price }
 // fixed pricing (plus the platform's fee — MTurk charged the authors
 // 20 %: $8.82 on $44.10).
 type Ledger struct {
-	hits        map[QueryKind]int
+	hits        [numQueryKinds]int
 	assignments int
 	workerPaid  float64
 	feeRate     float64
@@ -60,24 +62,29 @@ type Ledger struct {
 // NewLedger creates a ledger with the given platform fee rate
 // (e.g. 0.20 for MTurk's 20 %).
 func NewLedger(feeRate float64) *Ledger {
-	return &Ledger{hits: make(map[QueryKind]int), feeRate: feeRate}
+	return &Ledger{feeRate: feeRate}
 }
 
-// Record adds one HIT with the given number of paid assignments.
+// Record adds one HIT with the given number of paid assignments. The
+// kind must be one of PointQuery, SetQuery and ReverseSetQuery.
 func (l *Ledger) Record(kind QueryKind, assignments int, pricePer float64) {
 	l.hits[kind]++
 	l.assignments += assignments
 	l.workerPaid += float64(assignments) * pricePer
 }
 
-// HITs returns the number of HITs of one kind.
-func (l *Ledger) HITs(kind QueryKind) int { return l.hits[kind] }
+// HITs returns the number of HITs of one kind, 0 for an unknown kind.
+func (l *Ledger) HITs(kind QueryKind) int {
+	if kind < 0 || kind >= numQueryKinds {
+		return 0
+	}
+	return l.hits[kind]
+}
 
 // TotalHITs returns the total number of HITs issued — the paper's
 // cost metric.
 func (l *Ledger) TotalHITs() int {
 	total := 0
-	//lint:ordered commutative integer sum over per-kind counters
 	for _, n := range l.hits {
 		total += n
 	}
@@ -99,7 +106,7 @@ func (l *Ledger) TotalCost() float64 { return l.workerPaid + l.PlatformFee() }
 
 // Reset clears all counters, keeping the fee rate.
 func (l *Ledger) Reset() {
-	l.hits = make(map[QueryKind]int)
+	l.hits = [numQueryKinds]int{}
 	l.assignments = 0
 	l.workerPaid = 0
 }

@@ -21,7 +21,9 @@ import (
 type ObjectID int
 
 // Object is a single image with its hidden ground-truth labels (one
-// value index per schema attribute).
+// value index per schema attribute). Labels is a read-only row that
+// the object may share with other objects of its subgroup; writing
+// into it changes their labels too.
 type Object struct {
 	ID     ObjectID
 	Labels []int
@@ -31,17 +33,26 @@ type Object struct {
 // attributes of interest. The order matters: the divide-and-conquer
 // algorithms issue set queries over contiguous index ranges, so a
 // shuffle changes which objects share a query.
+//
+// Objects built from consecutive equal label vectors share one label
+// row, so the rows are read-only. The dataset also keeps each object's
+// subgroup (template) index, computed once when the labels are
+// validated; see Subgroup.
 type Dataset struct {
 	schema  *pattern.Schema
 	objects []Object
 	byID    []int32 // position of the object with each ID; -1 for an absent ID
+	sub     []int32 // pattern.SubgroupIndex of each ID's labels; meaningless for an absent ID
 }
 
 // New builds a dataset whose i-th object gets ID i and the i-th label
-// vector. Label vectors are validated against the schema and copied
-// into one arena shared by the whole dataset; each object's Labels is
-// a capacity-limited window of it, so an append to one object's
-// labels reallocates instead of writing into its neighbour's.
+// vector. Label vectors are validated against the schema and indexed
+// by subgroup in one pass; a second pass copies one row per run of
+// consecutive equal vectors into an arena shared by the whole dataset.
+// The objects of a run share the row as a capacity-limited window of
+// the arena, so an append to one object's labels reallocates instead
+// of writing into a neighbour's row. Input grouped by subgroup, as
+// FromCounts builds it, needs at most one row per subgroup.
 func New(s *pattern.Schema, labels [][]int) (*Dataset, error) {
 	if s == nil {
 		return nil, errors.New("dataset: nil schema")
@@ -49,20 +60,37 @@ func New(s *pattern.Schema, labels [][]int) (*Dataset, error) {
 	if len(labels) > math.MaxInt32 {
 		return nil, fmt.Errorf("dataset: %d objects exceed the %d a dataset indexes", len(labels), math.MaxInt32)
 	}
+	subgroups := 1
+	for i := range s.NumAttrs() {
+		if subgroups *= s.Attr(i).Cardinality(); subgroups > math.MaxInt32 {
+			return nil, fmt.Errorf("dataset: schema has more than the %d subgroups a dataset indexes", math.MaxInt32)
+		}
+	}
 	d := &Dataset{
 		schema:  s,
 		objects: make([]Object, len(labels)),
 		byID:    make([]int32, len(labels)),
+		sub:     make([]int32, len(labels)),
 	}
-	width := s.NumAttrs()
-	arena := make([]int, len(labels)*width)
+	runs := 0
 	for i, l := range labels {
 		if !s.ValidLabels(l) {
 			return nil, fmt.Errorf("dataset: object %d has invalid labels %v", i, l)
 		}
-		cp := arena[i*width : (i+1)*width : (i+1)*width]
-		copy(cp, l)
-		d.objects[i] = Object{ID: ObjectID(i), Labels: cp}
+		d.sub[i] = int32(pattern.SubgroupIndex(s, pattern.Pattern(l)))
+		if i == 0 || d.sub[i] != d.sub[i-1] {
+			runs++
+		}
+	}
+	width := s.NumAttrs()
+	arena := make([]int, runs*width)
+	var row []int
+	for i, l := range labels {
+		if i == 0 || d.sub[i] != d.sub[i-1] {
+			row, arena = arena[:width:width], arena[width:]
+			copy(row, l)
+		}
+		d.objects[i] = Object{ID: ObjectID(i), Labels: row}
 		d.byID[i] = int32(i)
 	}
 	return d, nil
@@ -94,6 +122,17 @@ func (d *Dataset) ByID(id ObjectID) (Object, bool) {
 		return Object{}, false
 	}
 	return d.objects[d.byID[id]], true
+}
+
+// Subgroup returns the subgroup (template) index of an object's labels,
+// pattern.SubgroupIndex of TrueLabels(id), or false when the dataset
+// holds no object with that ID. Like TrueLabels it reads ground truth,
+// so audit algorithms must not call it. It does not allocate.
+func (d *Dataset) Subgroup(id ObjectID) (int, bool) {
+	if id < 0 || id >= ObjectID(len(d.byID)) || d.byID[id] < 0 {
+		return 0, false
+	}
+	return int(d.sub[id]), true
 }
 
 // TrueLabels returns the hidden ground-truth labels of an object.
@@ -185,7 +224,7 @@ func (d *Dataset) PredictedSet(g pattern.Group, tp, fp int) []ObjectID {
 func (d *Dataset) SubgroupCounts() []int {
 	counts := make([]int, d.schema.NumSubgroups())
 	for _, o := range d.objects {
-		counts[pattern.SubgroupIndex(d.schema, pattern.Point(o.Labels))]++
+		counts[d.sub[o.ID]]++
 	}
 	return counts
 }
@@ -196,7 +235,8 @@ func (d *Dataset) Covered(g pattern.Group, tau int) bool {
 }
 
 // Slice returns a new dataset over the same schema containing only the
-// objects with the given IDs (in the given order). IDs are preserved.
+// objects with the given IDs (in the given order). IDs are preserved,
+// and the objects share their label rows with d.
 func (d *Dataset) Slice(ids []ObjectID) (*Dataset, error) {
 	out := &Dataset{
 		schema:  d.schema,
@@ -209,11 +249,13 @@ func (d *Dataset) Slice(ids []ObjectID) (*Dataset, error) {
 		}
 		for ObjectID(len(out.byID)) <= id {
 			out.byID = append(out.byID, -1)
+			out.sub = append(out.sub, 0)
 		}
 		if out.byID[id] >= 0 {
 			return nil, fmt.Errorf("dataset: duplicate object %d", id)
 		}
 		out.byID[id] = int32(len(out.objects))
+		out.sub[id] = d.sub[id]
 		out.objects = append(out.objects, o)
 	}
 	return out, nil

@@ -45,7 +45,10 @@ func TestLabelAppendLeavesNeighbourAlone(t *testing.T) {
 		pattern.Attribute{Name: "a", Values: []string{"0", "1"}},
 		pattern.Attribute{Name: "b", Values: []string{"0", "1", "2"}},
 	)
-	d := MustFromCounts(s, []int{1, 1, 1, 1, 1, 1}, nil)
+	d := MustFromCounts(s, []int{2, 3, 1, 2, 4, 2}, nil)
+	if &d.At(0).Labels[0] != &d.At(1).Labels[0] {
+		t.Fatal("objects 0 and 1 of subgroup 0 do not share a label row")
+	}
 	want := make([][]int, d.Size())
 	for i := range want {
 		want[i] = slices.Clone(d.At(i).Labels)
@@ -59,6 +62,66 @@ func TestLabelAppendLeavesNeighbourAlone(t *testing.T) {
 				t.Fatalf("appending to object %d changed object %d: %v, want %v", i, j, d.At(j).Labels, want[j])
 			}
 		}
+	}
+}
+
+// FromCounts groups its input by subgroup, so its dataset holds one
+// label row per nonempty subgroup, which a shuffle keeps.
+func TestFromCountsSharesOneRowPerSubgroup(t *testing.T) {
+	s := pattern.MustSchema(
+		pattern.Attribute{Name: "a", Values: []string{"0", "1"}},
+		pattern.Attribute{Name: "b", Values: []string{"0", "1", "2"}},
+	)
+	counts := []int{50, 0, 7, 1, 30, 12}
+	d := MustFromCounts(s, counts, rand.New(rand.NewSource(3)))
+	rows := make(map[*int]int)
+	for i := 0; i < d.Size(); i++ {
+		o := d.At(i)
+		k, ok := d.Subgroup(o.ID)
+		if !ok || !slices.Equal(o.Labels, pattern.SubgroupAt(s, k)) {
+			t.Fatalf("object %d: Subgroup = %d, %v; labels %v", o.ID, k, ok, o.Labels)
+		}
+		if first, seen := rows[&o.Labels[0]]; seen && first != k {
+			t.Fatalf("subgroups %d and %d share a label row", first, k)
+		}
+		rows[&o.Labels[0]] = k
+	}
+	if len(rows) != 5 {
+		t.Errorf("%d label rows for 5 nonempty subgroups", len(rows))
+	}
+	if got := d.SubgroupCounts(); !slices.Equal(got, counts) {
+		t.Errorf("SubgroupCounts = %v, want %v", got, counts)
+	}
+}
+
+// New makes one allocation per array it keeps (the dataset, its
+// objects, the ID and subgroup indexes, the label arena), however many
+// objects it holds, and Subgroup makes none.
+func TestNewAllocatesOncePerArray(t *testing.T) {
+	s := GenderSchema()
+	labels := make([][]int, 1000)
+	for i := range labels {
+		labels[i] = []int{i / 100 % 2}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { MustNew(s, labels) }); allocs != 5 {
+		t.Errorf("New allocates %v times, want 5", allocs)
+	}
+	d := MustNew(s, labels)
+	if allocs := testing.AllocsPerRun(100, func() { d.Subgroup(500) }); allocs != 0 {
+		t.Errorf("Subgroup allocates %v times per call", allocs)
+	}
+}
+
+func TestNewRejectsTooManySubgroups(t *testing.T) {
+	attrs := make([]pattern.Attribute, 31)
+	for i := range attrs {
+		attrs[i] = pattern.Attribute{Name: string(rune('a' + i)), Values: []string{"0", "1"}}
+	}
+	if _, err := New(pattern.MustSchema(attrs[:30]...), nil); err != nil {
+		t.Errorf("2^30 subgroups: %v", err)
+	}
+	if _, err := New(pattern.MustSchema(attrs...), nil); err == nil {
+		t.Error("2^31 subgroups: want error")
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"imagecvg/internal/pattern"
 )
 
 // FuzzReadJSON hardens the dataset loader: arbitrary bytes must either
@@ -43,25 +45,33 @@ func FuzzReadJSON(f *testing.F) {
 }
 
 // FuzzDatasetIndex drives random Shuffle and Slice sequences and checks
-// ByID against a map from each ID the dataset holds to its labels,
-// probing random IDs, negative and far out of range ones included.
-// Slices take a random subset of the held IDs, sometimes with a random
-// ID put in front, and must fail exactly when that ID is not held or
-// repeats one of the subset.
+// ByID and Subgroup against a map from each ID the dataset holds to its
+// subgroup, probing random IDs, negative and far out of range ones
+// included. The label vectors come in runs of equal vectors, so
+// neighbouring objects share label rows. Slices take a random subset of
+// the held IDs, sometimes with a random ID put in front, and must fail
+// exactly when that ID is not held or repeats one of the subset.
 func FuzzDatasetIndex(f *testing.F) {
 	f.Add(uint8(10), int64(1), []byte{0, 1, 2, 3})
 	f.Add(uint8(0), int64(2), []byte{1, 2, 1})
 	f.Add(uint8(1), int64(3), []byte{2, 0, 1, 1})
 	f.Add(uint8(200), int64(4), []byte{1, 0, 1, 0, 1, 2, 1, 1})
 	f.Fuzz(func(t *testing.T, n uint8, seed int64, ops []byte) {
+		s := pattern.MustSchema(
+			pattern.Attribute{Name: "a", Values: []string{"0", "1"}},
+			pattern.Attribute{Name: "b", Values: []string{"0", "1", "2"}},
+		)
+		rng := rand.New(rand.NewSource(seed))
 		labels := make([][]int, n)
 		ref := make(map[ObjectID]int, n)
-		for i := range labels {
-			labels[i] = []int{i % 2}
-			ref[ObjectID(i)] = i % 2
+		for i := 0; i < len(labels); {
+			k := rng.Intn(s.NumSubgroups())
+			for end := min(i+1+rng.Intn(4), len(labels)); i < end; i++ {
+				labels[i] = []int(pattern.SubgroupAt(s, k))
+				ref[ObjectID(i)] = k
+			}
 		}
-		d := MustNew(GenderSchema(), labels)
-		rng := rand.New(rand.NewSource(seed))
+		d := MustNew(s, labels)
 		for _, op := range ops {
 			switch op % 3 {
 			case 0:
@@ -110,27 +120,35 @@ func randomID(rng *rand.Rand, n int) ObjectID {
 	return ObjectID(rng.Intn(2*n+6) - 3)
 }
 
-// checkIndex compares d against ref: the same size, every position's
-// object found by its ID, and random IDs found exactly when ref holds
-// them.
+// checkIndex compares d against ref, which maps each held ID to its
+// subgroup: the same size, every position's object found by its ID
+// with the reference's labels, Subgroup equal to the subgroup index of
+// TrueLabels, and random IDs found by both exactly when ref holds them.
 func checkIndex(t *testing.T, d *Dataset, ref map[ObjectID]int, rng *rand.Rand, n int) {
 	t.Helper()
 	if d.Size() != len(ref) {
 		t.Fatalf("Size() = %d, reference holds %d", d.Size(), len(ref))
 	}
+	s := d.Schema()
 	for i := 0; i < d.Size(); i++ {
 		o := d.At(i)
 		got, ok := d.ByID(o.ID)
-		if want, held := ref[o.ID]; !held || !ok || got.ID != o.ID || got.Labels[0] != want {
-			t.Fatalf("position %d: ByID(%d) = %v, %v; reference %d, %v", i, o.ID, got, ok, want, held)
+		want, held := ref[o.ID]
+		if !held || !ok || got.ID != o.ID || !slices.Equal(got.Labels, pattern.SubgroupAt(s, want)) {
+			t.Fatalf("position %d: ByID(%d) = %v, %v; reference subgroup %d, %v", i, o.ID, got, ok, want, held)
+		}
+		labels, _ := d.TrueLabels(o.ID)
+		if k, ok := d.Subgroup(o.ID); !ok || k != pattern.SubgroupIndex(s, pattern.Pattern(labels)) || k != want {
+			t.Fatalf("position %d: Subgroup(%d) = %d, %v; labels %v, reference %d", i, o.ID, k, ok, labels, want)
 		}
 	}
 	for range 16 {
 		id := randomID(rng, n)
 		got, ok := d.ByID(id)
+		k, inSub := d.Subgroup(id)
 		want, held := ref[id]
-		if ok != held || ok && (got.ID != id || got.Labels[0] != want) {
-			t.Fatalf("ByID(%d) = %v, %v; reference %d, %v", id, got, ok, want, held)
+		if ok != held || inSub != held || ok && (got.ID != id || k != want) {
+			t.Fatalf("ByID(%d) = %v, %v; Subgroup = %d, %v; reference %d, %v", id, got, ok, k, inSub, want, held)
 		}
 	}
 }

@@ -22,8 +22,9 @@ func FromCounts(s *pattern.Schema, counts []int, rng *rand.Rand) (*Dataset, erro
 		}
 		total += c
 	}
-	// Objects of one subgroup share its label vector here; New copies
-	// each into the dataset's own arena.
+	// Objects of one subgroup share its label vector and come in one
+	// run, so New copies one row per nonempty subgroup into the
+	// dataset's arena.
 	labels := make([][]int, 0, total)
 	for idx, c := range counts {
 		p := []int(pattern.SubgroupAt(s, idx))

@@ -126,17 +126,6 @@ func NewRenderer(s *pattern.Schema) (*Renderer, error) {
 // Schema returns the renderer's schema.
 func (r *Renderer) Schema() *pattern.Schema { return r.schema }
 
-// Index returns the subgroup (template) index of a label vector, or
-// false when the labels are not valid for the schema. It does not
-// allocate: the labels convert to a pattern in place (pattern.Point
-// would copy them).
-func (r *Renderer) Index(labels []int) (int, bool) {
-	if !r.schema.ValidLabels(labels) {
-		return 0, false
-	}
-	return pattern.SubgroupIndex(r.schema, pattern.Pattern(labels)), true
-}
-
 // Labels returns the label vector of subgroup k. The slice is shared:
 // callers read it and must not modify it.
 func (r *Renderer) Labels(k int) []int { return r.labels[k] }

@@ -58,9 +58,6 @@ func TestCleanRoundTripAllSubgroups(t *testing.T) {
 		}
 		for idx := 0; idx < s.NumSubgroups(); idx++ {
 			labels := []int(pattern.SubgroupAt(s, idx))
-			if k, ok := r.Index(labels); !ok || k != idx {
-				t.Fatalf("schema %d: Index(%v) = %d, %v; want %d", si, labels, k, ok, idx)
-			}
 			if got := r.Perceive(idx, 0, nil); got != idx {
 				t.Fatalf("schema %d subgroup %v decoded as %v", si, labels, r.Labels(got))
 			}
@@ -68,23 +65,6 @@ func TestCleanRoundTripAllSubgroups(t *testing.T) {
 				t.Fatalf("schema %d: Labels(%d) = %v, want %v", si, idx, r.Labels(idx), labels)
 			}
 		}
-	}
-}
-
-func TestRenderValidatesLabels(t *testing.T) {
-	r, _ := NewRenderer(genderRace())
-	for _, labels := range [][]int{{9, 0}, {0, -1}, {0}, {0, 0, 0}} {
-		if _, ok := r.Index(labels); ok {
-			t.Errorf("Index(%v): want invalid", labels)
-		}
-	}
-}
-
-func TestIndexDoesNotAllocate(t *testing.T) {
-	r, _ := NewRenderer(genderRace())
-	labels := []int{1, 3}
-	if allocs := testing.AllocsPerRun(100, func() { r.Index(labels) }); allocs != 0 {
-		t.Errorf("Index allocates %v times per call", allocs)
 	}
 }
 
@@ -127,7 +107,7 @@ func TestHeavyNoiseCausesErrors(t *testing.T) {
 func TestPerceiveNoNoiseEqualsDecode(t *testing.T) {
 	s := genderRace()
 	r, _ := NewRenderer(s)
-	k, _ := r.Index([]int{1, 3})
+	k := pattern.SubgroupIndex(s, pattern.Pattern{1, 3})
 	if got := r.Perceive(k, 0, nil); got != k || got != nearestGlyph(r, &r.templates[k]) {
 		t.Errorf("Perceive = %v, want %v", r.Labels(got), r.Labels(k))
 	}
@@ -148,7 +128,7 @@ func TestTemplatesDistinct(t *testing.T) {
 func TestPGMAndPNGEncoding(t *testing.T) {
 	s := genderRace()
 	r, _ := NewRenderer(s)
-	k, _ := r.Index([]int{0, 2})
+	k := pattern.SubgroupIndex(s, pattern.Pattern{0, 2})
 	g := r.templates[k]
 
 	var pgm bytes.Buffer

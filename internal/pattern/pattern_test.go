@@ -200,6 +200,22 @@ func TestSubgroupIndexRoundTrip(t *testing.T) {
 	}
 }
 
+// A valid label vector converts to its subgroup index in place:
+// pattern.Point would copy it, which datasets indexing every object
+// cannot afford.
+func TestSubgroupIndexDoesNotAllocate(t *testing.T) {
+	s := genderRace()
+	labels := []int{1, 3}
+	allocs := testing.AllocsPerRun(100, func() {
+		if !s.ValidLabels(labels) || SubgroupIndex(s, Pattern(labels)) != 7 {
+			t.Fatal("labels {1, 3} are not subgroup 7")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("ValidLabels and SubgroupIndex allocate %v times per call", allocs)
+	}
+}
+
 func TestSubgroupIndexRoundTripQuick(t *testing.T) {
 	s := MustSchema(
 		Attribute{Name: "a", Values: []string{"0", "1", "2"}},

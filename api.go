@@ -312,11 +312,13 @@ func (a *Auditor) WithSeed(seed int64) *Auditor {
 // audits run independent super-group audits (and covered-penalty
 // re-audits) as tasks advancing in deterministic lockstep rounds, each
 // round's queries committing to the oracle as one batch in canonical
-// (super-group, member, query-sequence) order, and sampling HITs post
-// as one batched round; parallelism bounds the pool that lifts oracles
-// without native batching into those rounds. Values <= 1 keep the
-// sequential engine. The oracle must be safe for concurrent use and
-// should answer batches in request order (SimulatedCrowd and
+// (super-group, member, query-sequence) order; parallelism bounds the
+// pool that lifts oracles without native batching into those rounds.
+// Values <= 1 keep the sequential engine, which runs one audit at a
+// time and posts each of its set queries as a one-query round. Either
+// engine posts a sampling phase as one round, and every round reaches
+// the oracle as one batch call. The oracle must be safe for concurrent
+// use and should answer batches in request order (SimulatedCrowd and
 // TruthOracle do; see core.BatchOracle): verdicts, task counts and
 // spend are then bit-identical at every value above 1, even when the
 // oracle's answers depend on query order (the simulated crowd), and
@@ -516,9 +518,9 @@ func (a *Auditor) AuditIntersectional(ids []ObjectID, s *Schema) (*Intersectiona
 // batch in canonical order on the lockstep engine, making the full
 // result bit-identical at every width even through the order-dependent
 // simulated crowd. Otherwise Label and Partition rounds hold one query
-// each and every query posts on its own, in the paper's sequential
-// order. Both modes give the same results for order-independent
-// oracles.
+// each, so the oracle sees the paper's sequential order; the precision
+// sample is still one round. Both modes give the same results for
+// order-independent oracles.
 func (a *Auditor) AuditWithClassifier(ids, predicted []ObjectID, g Group) (ClassifierResult, error) {
 	return core.ClassifierCoverage(a.stack.Top, ids, predicted, a.setSize, a.tau, g,
 		core.ClassifierOptions{

@@ -86,13 +86,16 @@
 //
 // # Determinism contract
 //
-// There are two engines: the paper's sequential algorithms
-// (WithParallelism 1, the default) and lockstep rounds, which every
-// WithParallelism(k > 1) audit runs on — concurrent audits advance in
-// virtual rounds whose queries commit to the oracle as one batch in
-// canonical (super-group, member, query-sequence) order. Batched rounds
-// keep the concurrent engine's latency win, because a round's HITs
-// still post together. Reproducibility then depends on the oracle:
+// There are two engines, and every round of either reaches the oracle
+// as one batch call: the paper's sequential algorithms (WithParallelism
+// 1, the default), which run one walk at a time with one query per
+// Algorithm 1, Label and Partition round and post each sampling phase
+// as one round, and lockstep rounds, which every WithParallelism(k > 1)
+// audit runs on — concurrent audits advance in virtual rounds whose
+// queries commit to the oracle as one batch in canonical (super-group,
+// member, query-sequence) order. Batched rounds keep the concurrent
+// engine's latency win, because a round's HITs still post together.
+// Reproducibility then depends on the oracle:
 //
 //   - Order-INDEPENDENT oracles — TruthOracle, any bridge whose answer
 //     is a function of the request alone — reproduce the sequential

@@ -44,7 +44,10 @@ type SetRequest struct {
 // ids) during the call and keeps no reference to the slice afterwards.
 // Copy what must outlive the call, as the journal's records do; the
 // round loop and the one-element rounds of single queries reuse
-// their round slices.
+// their round slices. Implementations own the answer slices they
+// return: callers read them and never write into them, so an
+// implementation may answer from shared read-only memory (TruthOracle
+// and the crowd Platform answer a one-element set round that way).
 //
 // Oracles whose answers depend only on the request (TruthOracle, any
 // stateless crowd bridge) may execute a batch in any order or fully in
@@ -184,47 +187,60 @@ func (a *batchAdapter) PointQuery(id dataset.ObjectID) ([]int, error) {
 	return a.inner.PointQuery(id)
 }
 
-// firstError returns the lowest-indexed non-nil error.
-func firstError(errs []error) error {
-	_, err := failedAt(errs)
-	return err
-}
-
-// failedAt returns the lowest failing index and its error, or
-// len(errs) and nil when nothing failed.
-func failedAt(errs []error) (int, error) {
-	for i, err := range errs {
-		if err != nil {
-			return i, err
-		}
-	}
-	return len(errs), nil
-}
-
 // SetQueryBatch implements BatchOracle. A failing round returns the
 // answered prefix before its lowest failing request with that
-// request's error.
+// request's error. A one-element round, the shape of every sequential
+// set round, skips the pool and allocates no answer slice.
 func (a *batchAdapter) SetQueryBatch(reqs []SetRequest) ([]bool, error) {
-	answers := make([]bool, len(reqs))
-	k, err := failedAt(runBounded(a.width(), len(reqs), func(i int) error {
-		var e error
-		if reqs[i].Reverse {
-			answers[i], e = a.inner.ReverseSetQuery(reqs[i].IDs, reqs[i].Group)
-		} else {
-			answers[i], e = a.inner.SetQuery(reqs[i].IDs, reqs[i].Group)
+	if len(reqs) == 1 {
+		ans, err := askSet(a.inner, reqs[0])
+		if err != nil {
+			return nil, err
 		}
-		return e
-	}))
+		return answerOne(ans), nil
+	}
+	answers := make([]bool, len(reqs))
+	k, err := runBounded(a.width(), len(reqs), func(i int) (err error) {
+		answers[i], err = askSet(a.inner, reqs[i])
+		return err
+	})
 	return answers[:k], err
 }
 
 // PointQueryBatch implements BatchOracle; see SetQueryBatch.
 func (a *batchAdapter) PointQueryBatch(ids []dataset.ObjectID) ([][]int, error) {
+	if len(ids) == 1 {
+		l, err := a.inner.PointQuery(ids[0])
+		if err != nil {
+			return nil, err
+		}
+		return [][]int{l}, nil
+	}
 	labels := make([][]int, len(ids))
-	k, err := failedAt(runBounded(a.width(), len(ids), func(i int) error {
-		var e error
-		labels[i], e = a.inner.PointQuery(ids[i])
-		return e
-	}))
+	k, err := runBounded(a.width(), len(ids), func(i int) (err error) {
+		labels[i], err = a.inner.PointQuery(ids[i])
+		return err
+	})
 	return labels[:k], err
+}
+
+// askSet posts one set or reverse-set request to o.
+func askSet(o Oracle, r SetRequest) (bool, error) {
+	if r.Reverse {
+		return o.ReverseSetQuery(r.IDs, r.Group)
+	}
+	return o.SetQuery(r.IDs, r.Group)
+}
+
+// oneAnswer backs the answer of a one-element set round: answerOne
+// slices it, capacity-limited, so no round allocates for it. Callers
+// never write into a round's answers (see BatchOracle).
+var oneAnswer = [2]bool{false, true}
+
+// answerOne returns ans as a read-only one-element answer slice.
+func answerOne(ans bool) []bool {
+	if ans {
+		return oneAnswer[1:2:2]
+	}
+	return oneAnswer[0:1:1]
 }

@@ -35,18 +35,21 @@ import (
 //     same for any clip width.
 //
 // Every phase posts through the engine's sets and points
-// (lockstep.go), so the walk has the engine's two modes:
+// (lockstep.go), and every round reaches the batch oracle as one
+// batch, in the order its queries were issued. The walk has the
+// engine's two modes, which differ only in round composition:
 //
 //   - Sequential (Parallelism <= 1 without Lockstep): Label and
-//     Partition rounds hold one query each, and every round posts its
-//     queries one at a time, in order, through the audit's oracle. The
-//     oracle stack sees the paper's sequential query sequence.
-//   - Lockstep (Lockstep, or Parallelism > 1): every round posts as
-//     one batch through the batch oracle, in the order its queries
-//     were issued. Round composition is a pure function of previously
-//     committed answers — never of Parallelism — so the full
-//     ClassifierResult is bit-identical at every Parallelism value
-//     even through order-dependent oracles like the crowd Platform.
+//     Partition rounds hold one query each, so the oracle stack sees
+//     the paper's sequential query sequence.
+//   - Lockstep (Lockstep, or Parallelism > 1): Label and Partition
+//     rounds are as wide as the clips above allow. Round composition
+//     is a pure function of previously committed answers — never of
+//     Parallelism — so the full ClassifierResult is bit-identical at
+//     every Parallelism value even through order-dependent oracles
+//     like the crowd Platform.
+//
+// The precision sample is one round in both modes.
 //
 // The residual hunt (lines 6-7 of Algorithm 4) is one Algorithm 1 walk
 // on the same engine.
@@ -83,7 +86,7 @@ func newClassifierEngine(o Oracle, gov *BudgetedOracle, ctx context.Context, loc
 // sequential mode, the governor's headroom for the query shape in
 // lockstep mode.
 func (e *classifierEngine) roundCap(kind HITKind, setSize int) int {
-	if e.bo == nil {
+	if e.serial {
 		return 1
 	}
 	return headroomOf(e.gov, kind, setSize)

@@ -53,9 +53,10 @@ type ClassifierOptions struct {
 	// TruthOracle) the full ClassifierResult is bit-identical at every
 	// Parallelism value above 1, and equals the sequential mode's
 	// exactly for order-independent oracles. Zero or one runs the walk
-	// in sequential mode: one query per Label and Partition round, and
-	// every query posted on its own, in the paper's order. The oracle
-	// must be safe for concurrent use when it does not batch natively.
+	// in sequential mode: one query per Label and Partition round, in
+	// the paper's order, with the precision sample still one round;
+	// either mode posts every round as one batch call. The oracle must
+	// be safe for concurrent use when it does not batch natively.
 	Parallelism int
 	// Lockstep runs the walk in lockstep mode at Parallelism <= 1 too;
 	// it matters only there (see MultipleOptions.Lockstep).

@@ -59,10 +59,10 @@
 //     bit-identical verdicts, task counts and spend at every
 //     Parallelism value. No walk or round runs in a goroutine of its
 //     own. In sequential mode the same loop runs over one walk at a
-//     time. Every phase of every audit posts through the engine's two
-//     methods, sets and points: a lockstep round is one batch through
-//     the batch oracle, and a sequential round posts each query alone,
-//     in order, through the oracle's single-query methods.
+//     time, one query per round. Every phase of every audit posts
+//     through the engine's two methods, sets and points, and every
+//     round in either mode reaches the oracle as one batch call; no
+//     audit but SampledCoverage calls an oracle's single-query methods.
 //   - Classifier-Coverage (classifier_parallel.go) is one round walk
 //     with the engine's two modes. In lockstep mode (Lockstep, or
 //     Parallelism > 1) it comes under the same contract: the precision
@@ -76,13 +76,17 @@
 //     engine. Round composition is a pure function of committed
 //     answers — never of the pool width. In sequential mode
 //     (Parallelism <= 1) the same walk posts one query per Label and
-//     Partition round, in the paper's order.
+//     Partition round, in the paper's order. BaseCoverage (Algorithm
+//     7) is that Label phase over every object on a sequential engine.
 //
-// The determinism contract rests on two engines: the sequential
-// reference (Parallelism <= 1) and lockstep rounds (Parallelism > 1;
-// the Lockstep options pick rounds at width 1 too). For
-// Classifier-Coverage the two engines are the two modes of one walk.
-// By oracle kind:
+// The determinism contract rests on two engines, which are the two
+// schedules of one round poster: the sequential reference
+// (Parallelism <= 1; one walk at a time, one query per Algorithm 1,
+// Label and Partition round) and lockstep rounds (Parallelism > 1;
+// the Lockstep options pick rounds at width 1 too). Both post every
+// round as one batch call, so they differ only in round composition.
+// For Classifier-Coverage the two engines are the two modes of one
+// walk. By oracle kind:
 //
 //   - order-independent oracles (TruthOracle, stateless crowd bridges,
 //     anything whose answer is a function of the request alone):
@@ -152,8 +156,8 @@
 // Cancellation rides the same round boundaries: MultipleOptions.Ctx /
 // ClassifierOptions.Ctx thread a context.Context through the engines,
 // and a cancelled context fails the next round before it reaches the
-// oracle — checked in the lockstep commit path, between audits on the
-// sequential engine, in the journaling middleware, and in the retry
+// oracle — checked before every round the engine posts, in the
+// journaling middleware, and in the retry
 // backoff (which selects on the context instead of sleeping through
 // it). A killed job
 // therefore never half-posts a round: every round either committed

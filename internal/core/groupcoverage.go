@@ -100,7 +100,7 @@ func GroupCoverage(o Oracle, ids []dataset.ObjectID, n, tau int, g pattern.Group
 
 // GroupCoverageOpt is GroupCoverage with ablation options; see
 // GroupCoverageOptions. It runs one walk in sequential mode, posting
-// each query alone through o.
+// each query as a one-query round through o.
 func GroupCoverageOpt(o Oracle, ids []dataset.ObjectID, n, tau int, g pattern.Group, opts GroupCoverageOptions) (GroupResult, error) {
 	if err := checkGroupArgs(o, n, tau); err != nil {
 		return GroupResult{Group: g}, err
@@ -156,7 +156,7 @@ func checkGroupArgs(o Oracle, n, tau int) error {
 // groupWalk is Algorithm 1 as a step machine: next hands out the
 // walk's pending set queries and apply consumes their answers, so the
 // round loop (lockstep.go) can post the queries of many walks as one
-// round, or one walk's queries one at a time, without a goroutine per
+// round, or one walk's queries one per round, without a goroutine per
 // walk.
 //
 // The paper's FIFO queue holds the ceil(N/n) initial blocks first and
@@ -338,41 +338,28 @@ func (w *groupWalk) visit(t *node, b, e int, ans bool) {
 
 // BaseCoverage is Algorithm 7, the baseline the paper compares
 // against: label objects one by one with point queries until tau group
-// members are found or the data runs out.
+// members are found or the data runs out. It is the classifier's Label
+// phase over every object, on a sequential engine: one point query per
+// round, in ids order.
 func BaseCoverage(o Oracle, ids []dataset.ObjectID, tau int, g pattern.Group) (GroupResult, error) {
-	res := GroupResult{Group: g}
 	if o == nil {
-		return res, errors.New("core: nil oracle")
+		return GroupResult{Group: g}, errors.New("core: nil oracle")
 	}
 	if tau < 0 {
-		return res, fmt.Errorf("core: coverage threshold tau=%d, need >= 0", tau)
+		return GroupResult{Group: g}, fmt.Errorf("core: coverage threshold tau=%d, need >= 0", tau)
 	}
-	if tau == 0 {
-		res.Covered = true
-		return res, nil
+	e := newClassifierEngine(o, nil, context.Background(), false, 1, g)
+	cnt, exact, tasks, exhausted, err := e.labelCleanRounds(ids, nil, 0, tau)
+	if err != nil {
+		return GroupResult{Group: g, Tasks: tasks}, err
 	}
-	cnt := 0
-	for _, id := range ids {
-		labels, err := o.PointQuery(id)
-		if err != nil {
-			if errors.Is(err, ErrBudgetExhausted) {
-				res.Count = cnt
-				res.Exhausted = true
-				return res, nil
-			}
-			return res, err
-		}
-		res.Tasks++
-		if g.Matches(labels) {
-			cnt++
-			if cnt >= tau {
-				res.Covered = true
-				res.Count = cnt
-				return res, nil
-			}
-		}
-	}
-	res.Count = cnt
-	res.Exact = true
-	return res, nil
+	covered := cnt >= tau
+	return GroupResult{
+		Group:     g,
+		Covered:   covered,
+		Count:     cnt,
+		Exact:     exact && !covered && !exhausted,
+		Exhausted: exhausted,
+		Tasks:     tasks,
+	}, nil
 }

@@ -293,6 +293,91 @@ func TestBaseCoverage(t *testing.T) {
 	}
 }
 
+// baseCoverageReference is Algorithm 7 as a loop of single point
+// queries: the reference BaseCoverage's Label walk must reproduce.
+func baseCoverageReference(o Oracle, ids []dataset.ObjectID, tau int, g pattern.Group) (GroupResult, error) {
+	res := GroupResult{Group: g}
+	if tau == 0 {
+		res.Covered = true
+		return res, nil
+	}
+	cnt := 0
+	for _, id := range ids {
+		labels, err := o.PointQuery(id)
+		if err != nil {
+			if errors.Is(err, ErrBudgetExhausted) {
+				res.Count = cnt
+				res.Exhausted = true
+				return res, nil
+			}
+			return res, err
+		}
+		res.Tasks++
+		if g.Matches(labels) {
+			cnt++
+			if cnt >= tau {
+				res.Covered = true
+				res.Count = cnt
+				return res, nil
+			}
+		}
+	}
+	res.Count = cnt
+	res.Exact = true
+	return res, nil
+}
+
+// TestBaseCoverageMatchesReference: over randomized truth instances,
+// plain and under a HIT cap, BaseCoverage settles exactly as the loop
+// of single point queries it replaced, and spends the same budget.
+func TestBaseCoverageMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(707))
+	var covered, exact, exhausted int
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(300)
+		d, err := dataset.BinaryWithMinority(n, rng.Intn(n+1), rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := female(d)
+		tau := rng.Intn(40)
+		for _, b := range []Budget{{}, {MaxHITs: 1 + rng.Intn(n)}} {
+			oracle := func() Oracle {
+				if !b.Active() {
+					return NewTruthOracle(d)
+				}
+				return NewBudgetedOracle(NewTruthOracle(d), b)
+			}
+			got, o := oracle(), oracle()
+			res, err := BaseCoverage(got, d.IDs(), tau, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := baseCoverageReference(o, d.IDs(), tau, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res, want) {
+				t.Fatalf("trial %d (n=%d tau=%d budget %+v): BaseCoverage = %+v, reference %+v", trial, n, tau, b, res, want)
+			}
+			if gov, ok := got.(*BudgetedOracle); ok && gov.Spent() != o.(*BudgetedOracle).Spent() {
+				t.Fatalf("trial %d: spent %+v, reference %+v", trial, gov.Spent(), o.(*BudgetedOracle).Spent())
+			}
+			switch {
+			case res.Covered:
+				covered++
+			case res.Exact:
+				exact++
+			case res.Exhausted:
+				exhausted++
+			}
+		}
+	}
+	if covered == 0 || exact == 0 || exhausted == 0 {
+		t.Errorf("%d covered, %d exact and %d exhausted results: the instances miss an outcome", covered, exact, exhausted)
+	}
+}
+
 func TestGroupCoveragePropagatesOracleErrors(t *testing.T) {
 	d := binaryDataset(t, []int{0, 1, 0, 1, 0, 1, 0, 1})
 	flaky := &FlakyOracle{Inner: NewTruthOracle(d), FailEvery: 3}
@@ -366,6 +451,26 @@ func TestGroupCoverageAllocatesPerSplitNotPerBlock(t *testing.T) {
 	}
 	if allocs > 10 {
 		t.Errorf("%.0f allocations for 1000 initial blocks, want at most 10", allocs)
+	}
+}
+
+// TestSequentialAuditOverPlainOracleAllocatesPerSplit: a sequential
+// audit over an oracle without native batching posts its one-query
+// rounds through the width-1 adapter, which allocates neither an
+// answer slice nor a task per round.
+func TestSequentialAuditOverPlainOracleAllocatesPerSplit(t *testing.T) {
+	s := pattern.MustSchema(pattern.Attribute{Name: "a", Values: []string{"0", "1"}})
+	d := dataset.MustFromCounts(s, []int{10_000, 0}, rand.New(rand.NewSource(1)))
+	g := pattern.GroupsForAttribute(s, 0)[1]
+	o := plainOracle{NewTruthOracle(d)}
+	ids := d.IDs()
+	allocs := testing.AllocsPerRun(5, func() {
+		if res, err := GroupCoverage(o, ids, 10, 5, g); err != nil || res.Tasks != 1000 {
+			t.Fatalf("result %+v, %v; want 1000 tasks", res, err)
+		}
+	})
+	if allocs > 10 {
+		t.Errorf("%.0f allocations for 1000 one-query rounds, want at most 10", allocs)
 	}
 }
 

@@ -145,11 +145,11 @@ func IntersectionalCoverage(o Oracle, ids []dataset.ObjectID, n, tau int, s *pat
 		case audit.Exhausted:
 			// The budget ran out mid-resolution: the pattern stays
 			// Unknown, keeping only the committed lower bound.
-			v.Bounds = pattern.Bounds{Lo: maxInt(total, v.Bounds.Lo), Hi: v.Bounds.Hi}
+			v.Bounds = pattern.Bounds{Lo: max(total, v.Bounds.Lo), Hi: v.Bounds.Hi}
 			res.Exhausted = true
 		case audit.Covered:
 			v.Coverage = pattern.Covered
-			v.Bounds = pattern.Bounds{Lo: maxInt(total, v.Bounds.Lo), Hi: v.Bounds.Hi}
+			v.Bounds = pattern.Bounds{Lo: max(total, v.Bounds.Lo), Hi: v.Bounds.Hi}
 			v.Resolved = true
 		default:
 			v.Coverage = pattern.Uncovered
@@ -185,11 +185,4 @@ func IntersectionalCoverage(o Oracle, ids []dataset.ObjectID, n, tau int, s *pat
 
 	res.Tasks = mres.Tasks + res.ResolutionTasks
 	return res, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -33,11 +33,11 @@ const (
 )
 
 // RoundRecord is one committed oracle round: the checkpoint unit of an
-// audit. Under Lockstep every batch call the audit makes — the
-// sampling round, each canonical lockstep round's set and point
-// batches, and the single-query rounds of sequential phases — is one
-// record, so the record sequence is a pure function of committed
-// answers and replays exactly. The file codec in internal/journal
+// audit. Every batch call the audit makes — the sampling round, each
+// canonical lockstep round's set and point batches, and the one-query
+// rounds of the sequential schedule — is one record, so the record
+// sequence is a pure function of committed answers and replays
+// exactly. The file codec in internal/journal
 // stores each record in a compact binary frame that keeps every field
 // exactly, nil and empty label vectors apart; the JSON tags serve
 // only the first codec version, which it still reads. A decoded record
@@ -92,9 +92,11 @@ var ErrJournalMismatch = errors.New("core: journal replay mismatch")
 //
 // Every round goes through one path under one mutex, so rounds
 // serialize and each record hits the journal before the next round can
-// commit; single queries journal as one-element rounds. Replay is only
-// resume-safe for deterministic round sequences — under Lockstep, or
-// for single-task sequential audits.
+// commit; single queries journal as one-element rounds. Every audit
+// posts a deterministic round sequence on either schedule, so replay
+// is resume-safe when the resumed audit keeps the schedule that wrote
+// the journal: a sequential journal does not replay under Lockstep, nor
+// the reverse, and fails with ErrJournalMismatch.
 type JournalingOracle struct {
 	inner   BatchOracle
 	journal RoundJournal
@@ -275,8 +277,8 @@ func (j *JournalingOracle) PointQueryBatch(ids []dataset.ObjectID) ([][]int, err
 	return labels, err
 }
 
-// SetQuery implements Oracle as a one-element round, so sequential
-// audit phases checkpoint too.
+// SetQuery implements Oracle as a one-element round, so a single
+// query checkpoints too.
 func (j *JournalingOracle) SetQuery(ids []dataset.ObjectID, g pattern.Group) (bool, error) {
 	return setOne(j, ids, g, false)
 }

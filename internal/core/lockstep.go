@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"slices"
 	"time"
 
 	"imagecvg/internal/dataset"
@@ -11,14 +10,19 @@ import (
 
 // This file is the engine every audit phase posts through: two round
 // posters, sets and points, and the round loop over Algorithm 1 walks
-// built on sets. An audit runs in one of two modes:
+// built on sets. Every round reaches the oracle as one BatchOracle
+// call through AsBatchOracle(o, Parallelism). An audit runs on one of
+// two schedules:
 //
-//   - Sequential (Parallelism <= 1 without Lockstep): a round posts
-//     each query alone, through the single-query methods of the
-//     audit's oracle, in the paper's order.
-//   - Lockstep (Lockstep, or Parallelism > 1): the audit advances in
-//     rounds, and each round commits as one BatchOracle batch through
-//     AsBatchOracle(o, Parallelism).
+//   - Sequential (Parallelism <= 1 without Lockstep): the walks run
+//     one after another and every Algorithm 1, Label and Partition
+//     round holds one query, so the oracle sees the paper's query
+//     order.
+//   - Lockstep (Lockstep, or Parallelism > 1): the walks advance
+//     together, and a round holds the next queries of every live walk.
+//
+// The sampling phases (Multiple-Coverage's sample and the classifier's
+// precision sample) post as one round on either schedule.
 //
 // Algorithm 1 is a step machine (groupWalk): next hands out its
 // pending set queries and apply consumes their answers. A
@@ -29,8 +33,7 @@ import (
 // query sequence. A batched single-group audit (GroupCoverageRounds)
 // widens the engine's window so its one walk offers its whole queue
 // each round. In sequential mode the same loop runs over one walk at
-// a time, so the walks run one after another. No goroutine runs per
-// walk or per round.
+// a time. No goroutine runs per walk or per round.
 //
 // An order-dependent oracle like the crowd Platform consumes its RNG
 // per HIT in arrival order. Round composition and commit order are
@@ -44,7 +47,7 @@ import (
 // which AsBatchOracle widens through the middleware layers, so batched
 // rounds still amortize per-HIT crowd latency.
 //
-// The context is checked before every commit: a cancelled round fails
+// The context is checked before every round: a cancelled round fails
 // before it reaches the oracle, so every round either commits in full
 // (and is journaled, if a journal is in the stack) or never touches
 // the crowd — the invariant that makes kill-at-round-K exactly
@@ -56,85 +59,50 @@ import (
 // below the commit, inside the batch oracle, so a round fails only
 // once a query has spent its attempts.
 
-// engine posts an audit's queries in the mode its options select.
+// engine posts an audit's rounds on the schedule its options select.
 type engine struct {
 	ctx context.Context
-	// o answers sequential mode's queries, one at a time.
-	o Oracle
-	// bo commits lockstep mode's rounds; nil in sequential mode.
+	// bo answers every round.
 	bo BatchOracle
+	// serial selects the sequential schedule: walks one after another,
+	// one query per Algorithm 1, Label and Partition round.
+	serial bool
 	// window is how many pending queries each walk offers a lockstep
 	// round: 1, or unbounded for GroupCoverageRounds.
 	window int
 
-	// Per-round scratch, reused across rounds so a round costs no
-	// allocation once warm: a round's set queries, and sequential
-	// mode's answers. A round's answers are valid until the next round.
-	round   []SetRequest
-	answers []bool
-	labels  [][]int
+	// A round's set queries, reused across rounds so a round costs no
+	// allocation once warm.
+	round []SetRequest
 }
 
-// newEngine picks the mode: lockstep rounds when lockstep is set or
-// parallelism > 1, sequential queries otherwise.
+// newEngine picks the schedule: lockstep rounds when lockstep is set
+// or parallelism > 1, sequential otherwise.
 func newEngine(ctx context.Context, o Oracle, lockstep bool, parallelism int) *engine {
-	e := &engine{ctx: ctx, o: o, window: 1}
-	if lockstep || parallelism > 1 {
-		e.bo = AsBatchOracle(o, normalizeParallelism(parallelism))
+	return &engine{
+		ctx:    ctx,
+		bo:     AsBatchOracle(o, normalizeParallelism(parallelism)),
+		serial: !lockstep && parallelism <= 1,
+		window: 1,
 	}
-	return e
 }
 
-// sets posts one round of set or reverse-set queries and returns the
-// answers of its committed prefix: all of them, unless err is set.
-// Lockstep mode posts the round as one batch through bo; sequential
-// mode posts each query alone, in order, through o. The context is
-// checked before every commit.
+// sets posts one round of set or reverse-set queries as one batch and
+// returns the answers of its committed prefix: all of them, unless err
+// is set. A cancelled context fails the round before it is posted.
 func (e *engine) sets(reqs []SetRequest) ([]bool, error) {
-	if e.bo != nil {
-		if err := e.ctx.Err(); err != nil {
-			return nil, err
-		}
-		return e.bo.SetQueryBatch(reqs)
+	if err := e.ctx.Err(); err != nil {
+		return nil, err
 	}
-	e.answers = slices.Grow(e.answers[:0], len(reqs))
-	for _, r := range reqs {
-		if err := e.ctx.Err(); err != nil {
-			return e.answers, err
-		}
-		query := e.o.SetQuery
-		if r.Reverse {
-			query = e.o.ReverseSetQuery
-		}
-		ans, err := query(r.IDs, r.Group)
-		if err != nil {
-			return e.answers, err
-		}
-		e.answers = append(e.answers, ans)
-	}
-	return e.answers, nil
+	return e.bo.SetQueryBatch(reqs)
 }
 
 // points posts one round of point queries over ids; see sets.
 func (e *engine) points(ids []dataset.ObjectID) ([][]int, error) {
-	if e.bo != nil {
-		if err := e.ctx.Err(); err != nil {
-			return nil, err
-		}
-		return e.bo.PointQueryBatch(ids)
+	if err := e.ctx.Err(); err != nil {
+		return nil, err
 	}
-	e.labels = slices.Grow(e.labels[:0], len(ids))
-	for _, id := range ids {
-		if err := e.ctx.Err(); err != nil {
-			return e.labels, err
-		}
-		labels, err := e.o.PointQuery(id)
-		if err != nil {
-			return e.labels, err
-		}
-		e.labels = append(e.labels, labels)
-	}
-	return e.labels, nil
+	return e.bo.PointQueryBatch(ids)
 }
 
 // run drives walks to completion and returns the error of the first
@@ -143,7 +111,7 @@ func (e *engine) points(ids []dataset.ObjectID) ([][]int, error) {
 // time. Either way a failure stops the audit before another query is
 // posted.
 func (e *engine) run(walks ...*groupWalk) error {
-	if e.bo != nil {
+	if !e.serial {
 		return e.rounds(walks)
 	}
 	for i := range walks {

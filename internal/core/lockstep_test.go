@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -403,12 +404,16 @@ func TestLockstepRoundsStartNoGoroutine(t *testing.T) {
 	}
 }
 
-// TestModeDiscipline: every phase of every audit posts in its engine's
-// mode. Over a native BatchOracle, sequential mode makes only
-// single-query calls and lockstep mode only batch calls, in the
+// TestModeDiscipline: every phase of every audit posts through the
+// batch oracle, whatever the engine's schedule. Over a native
+// BatchOracle no mode makes a single-query call: not in the
 // Multiple-Coverage sampling phase and penalty re-audits, the
-// Intersectional resolution walks, and the Classifier sample, Label,
-// Partition and residual phases.
+// Intersectional resolution walks, the Classifier sample, Label,
+// Partition and residual phases, nor in Algorithm 1 and Algorithm 7
+// (GroupCoverage and BaseCoverage, which run sequential only). In
+// sequential mode every set, Label and Partition round holds one
+// query; only the sampling round (Multiple's sample, the classifier's
+// precision sample) holds more.
 func TestModeDiscipline(t *testing.T) {
 	s := raceSchema()
 	d := dataset.MustFromCounts(s, []int{2000, 30, 28, 26}, rand.New(rand.NewSource(202)))
@@ -423,41 +428,51 @@ func TestModeDiscipline(t *testing.T) {
 		t.Fatal(err)
 	}
 	female := dataset.Female(d3.Schema())
-	// Each audit reports whether it reached the phases it is here for.
+	// Each audit reports whether it reached the phases it is here for,
+	// and the size of its sampling round (0 without one).
 	audits := []struct {
-		name  string
-		ds    *dataset.Dataset
-		audit func(o Oracle, lockstep bool, p int) (bool, error)
+		name       string
+		ds         *dataset.Dataset
+		serialOnly bool
+		audit      func(o Oracle, lockstep bool, p int) (bool, int, error)
 	}{
-		{"multiple", d, func(o Oracle, lockstep bool, p int) (bool, error) {
+		{"multiple", d, false, func(o Oracle, lockstep bool, p int) (bool, int, error) {
 			res, err := MultipleCoverage(o, d.IDs(), 50, 50, groups,
 				MultipleOptions{Rng: rand.New(rand.NewSource(11)), Lockstep: lockstep, Parallelism: p})
 			if err != nil {
-				return false, err
+				return false, 0, err
 			}
 			penalty := false
 			for _, a := range res.SuperAudits {
 				penalty = penalty || len(a.GroupIndices) > 1 && a.Covered
 			}
-			return res.SampleTasks > 0 && penalty, nil
+			return res.SampleTasks > 0 && penalty, res.SampleTasks, nil
 		}},
-		{"intersectional", d2, func(o Oracle, lockstep bool, p int) (bool, error) {
+		{"intersectional", d2, false, func(o Oracle, lockstep bool, p int) (bool, int, error) {
 			res, err := IntersectionalCoverage(o, d2.IDs(), 30, 30, two,
 				MultipleOptions{Rng: rand.New(rand.NewSource(8)), Lockstep: lockstep, Parallelism: p})
 			if err != nil {
-				return false, err
+				return false, 0, err
 			}
-			return res.ResolutionTasks > 0, nil
+			return res.ResolutionTasks > 0, res.Multiple.SampleTasks, nil
 		}},
-		{"classifier-partition", d3, func(o Oracle, lockstep bool, p int) (bool, error) {
+		{"classifier-partition", d3, false, func(o Oracle, lockstep bool, p int) (bool, int, error) {
 			res, err := ClassifierCoverage(o, d3.IDs(), predictedSet(d3, 250, 10), 15, 280, female,
 				ClassifierOptions{Rng: rand.New(rand.NewSource(3)), Lockstep: lockstep, Parallelism: p})
-			return res.Strategy == StrategyPartition && res.ResidualTasks > 0, err
+			return res.Strategy == StrategyPartition && res.ResidualTasks > 0, res.SampleTasks, err
 		}},
-		{"classifier-label", d3, func(o Oracle, lockstep bool, p int) (bool, error) {
+		{"classifier-label", d3, false, func(o Oracle, lockstep bool, p int) (bool, int, error) {
 			res, err := ClassifierCoverage(o, d3.IDs(), predictedSet(d3, 20, 180), 15, 280, female,
 				ClassifierOptions{Rng: rand.New(rand.NewSource(4)), Lockstep: lockstep, Parallelism: p})
-			return res.Strategy == StrategyLabel && res.ResidualTasks > 0, err
+			return res.Strategy == StrategyLabel && res.ResidualTasks > 0, res.SampleTasks, err
+		}},
+		{"group", d3, true, func(o Oracle, _ bool, _ int) (bool, int, error) {
+			res, err := GroupCoverage(o, d3.IDs(), 15, 280, female)
+			return res.Covered && res.Tasks > 0, 0, err
+		}},
+		{"base", d3, true, func(o Oracle, _ bool, _ int) (bool, int, error) {
+			res, err := BaseCoverage(o, d3.IDs(), 280, female)
+			return res.Covered && res.Tasks > 0, 0, err
 		}},
 	}
 	for _, a := range audits {
@@ -466,20 +481,30 @@ func TestModeDiscipline(t *testing.T) {
 			lockstep bool
 			p        int
 		}{{"sequential", false, 1}, {"lockstep", true, 1}, {"wide", false, 4}} {
+			if a.serialOnly && m.name != "sequential" {
+				continue
+			}
 			counter := &nativeBatchCounter{TruthOracle: NewTruthOracle(a.ds)}
-			reached, err := a.audit(counter, m.lockstep, m.p)
+			reached, sample, err := a.audit(counter, m.lockstep, m.p)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", a.name, m.name, err)
 			}
 			if !reached {
 				t.Fatalf("%s/%s: the audit skipped a phase this test covers", a.name, m.name)
 			}
-			posted, other := counter.batchRounds, counter.singles
-			if !m.lockstep && m.p <= 1 {
-				posted, other = other, posted
-			}
-			if posted == 0 || other != 0 {
+			if counter.batchRounds == 0 || counter.singles != 0 {
 				t.Errorf("%s/%s: %d single-query calls and %d batch calls", a.name, m.name, counter.singles, counter.batchRounds)
+			}
+			if m.name != "sequential" {
+				continue
+			}
+			var wantPoints []int
+			if sample > 1 {
+				wantPoints = []int{sample}
+			}
+			if wide := counter.widePoints; counter.wideSets != 0 || !slices.Equal(wide, wantPoints) {
+				t.Errorf("%s/%s: %d set rounds and %d point rounds (first %v) hold more than one query; want none but the %d-query sample",
+					a.name, m.name, counter.wideSets, len(wide), wide[:min(len(wide), 3)], sample)
 			}
 		}
 	}

@@ -12,8 +12,6 @@ import (
 	"imagecvg/internal/pattern"
 )
 
-var errNilOracleOrSet = errors.New("core: nil oracle or labeled set")
-
 // chooseSamples is the selection step of labelSamples: it draws up to
 // k random indices and splits the ids into the chosen sample and the
 // remainder, both in input order. The draw never depends on the
@@ -21,7 +19,7 @@ var errNilOracleOrSet = errors.New("core: nil oracle or labeled set")
 // phases bit-for-bit interchangeable.
 func chooseSamples(ids []dataset.ObjectID, k int, l *LabeledSet, rng *rand.Rand) (sample, remaining []dataset.ObjectID, err error) {
 	if l == nil {
-		return nil, nil, errNilOracleOrSet
+		return nil, nil, errors.New("core: nil labeled set")
 	}
 	if rng == nil {
 		return nil, nil, errors.New("core: sampling needs a *rand.Rand")
@@ -45,15 +43,6 @@ func chooseSamples(ids []dataset.ObjectID, k int, l *LabeledSet, rng *rand.Rand)
 		}
 	}
 	return sample, remaining, nil
-}
-
-// LabelSamples is the sampling phase of section 4 (Algorithm 6) posted
-// in sequential mode; see labelSamples.
-func LabelSamples(o Oracle, ids []dataset.ObjectID, k int, l *LabeledSet, rng *rand.Rand) (remaining []dataset.ObjectID, tasks int, err error) {
-	if o == nil {
-		return nil, 0, errNilOracleOrSet
-	}
-	return labelSamples(newEngine(context.Background(), o, false, 1), ids, k, l, rng)
 }
 
 // labelSamples is the sampling phase of section 4 (Algorithm 6): it
@@ -246,13 +235,14 @@ type MultipleOptions struct {
 	// independent super-group audits (and the per-member re-audits of
 	// the covered-penalty branch) run as walks whose queries commit in
 	// canonical (super-group, member, query-sequence) order, one
-	// BatchOracle round at a time, and the sampling phase is issued as
-	// one batched oracle round. The schedule never depends on
+	// BatchOracle round at a time. The schedule never depends on
 	// Parallelism, which only bounds the pool that lifts non-batching
 	// oracles into rounds, preserving the latency win of batched
-	// rounds. Zero or one runs the sequential Algorithm 2 verbatim. The
-	// oracle must be safe for concurrent use when it does not batch
-	// natively.
+	// rounds. Zero or one runs the sequential Algorithm 2 verbatim: one
+	// walk at a time, one set query per round. On either schedule the
+	// sampling phase is one point-query round and every round reaches
+	// the oracle as one batch call. The oracle must be safe for
+	// concurrent use when it does not batch natively.
 	// With an oracle whose batches execute in request order (the crowd
 	// Platform, TruthOracle, any native BatchOracle honoring the
 	// contract) results are bit-for-bit identical at every Parallelism
@@ -263,7 +253,8 @@ type MultipleOptions struct {
 	// Lockstep runs the lockstep rounds at Parallelism <= 1 too; it
 	// matters only there. Callers whose resume or probe schedule rides
 	// the committed round sequence (journal, trust, the audit service)
-	// set it; the paper's sequential query order is the default.
+	// set it, so a journal replays at every width; the paper's
+	// sequential query order, one query per round, is the default.
 	Lockstep bool
 	// Retry re-posts transiently failing HITs (ErrTransient) instead
 	// of aborting the audit. One retry wrapper serves the whole audit,
@@ -273,8 +264,8 @@ type MultipleOptions struct {
 	Retry RetryPolicy
 	// Ctx cancels the audit at round boundaries: a cancelled context
 	// fails the next oracle round before it reaches the crowd (checked
-	// before every commit, a round or a sequential query, in the
-	// journaling middleware and in the retry backoff), so a killed job
+	// before every round the engine posts, in the journaling
+	// middleware and in the retry backoff), so a killed job
 	// never half-posts a round. Nil means context.Background().
 	Ctx context.Context
 }
@@ -356,7 +347,7 @@ func MultipleCoverage(o Oracle, ids []dataset.ObjectID, n, tau int, groups []pat
 	}
 	penalties := make([][]*groupWalk, len(plans))
 	step := 1
-	if eng.bo != nil {
+	if !eng.serial {
 		step = len(plans)
 	}
 	for lo := 0; lo < len(plans); lo += step {

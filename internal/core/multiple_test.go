@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -17,12 +18,17 @@ func raceSchema() *pattern.Schema {
 	})
 }
 
+// sequentialEngine is the engine of a sequential audit over o.
+func sequentialEngine(o Oracle) *engine {
+	return newEngine(context.Background(), o, false, 1)
+}
+
 func TestLabelSamples(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	d, _ := dataset.BinaryWithMinority(100, 20, rng)
-	o := NewTruthOracle(d)
+	e := sequentialEngine(NewTruthOracle(d))
 	l := NewLabeledSet()
-	remaining, tasks, err := LabelSamples(o, d.IDs(), 30, l, rng)
+	remaining, tasks, err := labelSamples(e, d.IDs(), 30, l, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,22 +58,23 @@ func TestLabelSamples(t *testing.T) {
 func TestLabelSamplesClampsAndValidates(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	d, _ := dataset.BinaryWithMinority(10, 2, rng)
-	o := NewTruthOracle(d)
+	e := sequentialEngine(NewTruthOracle(d))
 	l := NewLabeledSet()
-	remaining, tasks, err := LabelSamples(o, d.IDs(), 500, l, rng)
+	remaining, tasks, err := labelSamples(e, d.IDs(), 500, l, rng)
 	if err != nil || tasks != 10 || len(remaining) != 0 {
 		t.Errorf("clamp: tasks=%d remaining=%d err=%v", tasks, len(remaining), err)
 	}
-	if _, _, err := LabelSamples(o, d.IDs(), -1, l, rng); err == nil {
+	if _, _, err := labelSamples(e, d.IDs(), -1, l, rng); err == nil {
 		t.Error("negative k: want error")
 	}
-	if _, _, err := LabelSamples(nil, d.IDs(), 1, l, rng); err == nil {
+	// The sampling phase's one caller guards the oracle.
+	if _, err := MultipleCoverage(nil, d.IDs(), 1, 1, pattern.GroupsForAttribute(d.Schema(), 0), MultipleOptions{Rng: rng}); err == nil {
 		t.Error("nil oracle: want error")
 	}
-	if _, _, err := LabelSamples(o, d.IDs(), 1, nil, rng); err == nil {
+	if _, _, err := labelSamples(e, d.IDs(), 1, nil, rng); err == nil {
 		t.Error("nil labeled set: want error")
 	}
-	if _, _, err := LabelSamples(o, d.IDs(), 1, l, nil); err == nil {
+	if _, _, err := labelSamples(e, d.IDs(), 1, l, nil); err == nil {
 		t.Error("nil rng: want error")
 	}
 }

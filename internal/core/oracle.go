@@ -110,17 +110,20 @@ func (o *TruthOracle) PointQuery(id dataset.ObjectID) ([]int, error) {
 
 // SetQueryBatch implements BatchOracle natively: ground-truth answers
 // depend only on the request, so the batch is answered in place with
-// no worker pool.
+// no worker pool. A one-element round, the shape of every sequential
+// set round, allocates no answer slice.
 func (o *TruthOracle) SetQueryBatch(reqs []SetRequest) ([]bool, error) {
+	if len(reqs) == 1 {
+		ans, err := askSet(o, reqs[0])
+		if err != nil {
+			return nil, err
+		}
+		return answerOne(ans), nil
+	}
 	answers := make([]bool, len(reqs))
 	for i, req := range reqs {
 		var err error
-		if req.Reverse {
-			answers[i], err = o.ReverseSetQuery(req.IDs, req.Group)
-		} else {
-			answers[i], err = o.SetQuery(req.IDs, req.Group)
-		}
-		if err != nil {
+		if answers[i], err = askSet(o, req); err != nil {
 			return nil, err
 		}
 	}

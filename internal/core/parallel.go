@@ -30,27 +30,26 @@ func normalizeParallelism(parallelism int) int {
 // the audit service reuse it to fan trials and jobs out across
 // workers.
 func RunBounded(parallelism, n int, fn func(i int) error) error {
-	return firstError(runBounded(parallelism, n, fn))
+	_, err := runBounded(parallelism, n, fn)
+	return err
 }
 
-// runBounded is RunBounded returning every task's error: tasks below
-// the lowest failing index all ran and succeeded.
-func runBounded(parallelism, n int, fn func(i int) error) []error {
-	if n == 0 {
-		return nil
-	}
+// runBounded is RunBounded returning the lowest failing index with its
+// error, or n and nil when every task succeeded: tasks below that
+// index all ran and succeeded.
+func runBounded(parallelism, n int, fn func(i int) error) (int, error) {
 	if parallelism > n {
 		parallelism = n
 	}
-	errs := make([]error, n)
 	if parallelism <= 1 {
 		for i := 0; i < n; i++ {
-			if errs[i] = fn(i); errs[i] != nil {
-				break
+			if err := fn(i); err != nil {
+				return i, err
 			}
 		}
-		return errs
+		return n, nil
 	}
+	errs := make([]error, n)
 	// minFailed is the lowest failing index observed so far; only
 	// tasks above it are skipped.
 	var minFailed atomic.Int64
@@ -81,5 +80,9 @@ func runBounded(parallelism, n int, fn func(i int) error) []error {
 	}
 	close(next)
 	wg.Wait()
-	return errs
+	k := int(minFailed.Load())
+	if k == n {
+		return n, nil
+	}
+	return k, errs[k]
 }

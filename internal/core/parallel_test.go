@@ -143,10 +143,14 @@ func TestRetryRecoversTransientFailures(t *testing.T) {
 }
 
 // nativeBatchCounter distinguishes whole-round calls from singular
-// ones reaching the inner oracle.
+// ones reaching the inner oracle, and notes the shape of the rounds.
 type nativeBatchCounter struct {
 	*TruthOracle
 	batchRounds, singles int
+	// wideSets counts set rounds of more than one query; widePoints
+	// lists the size of every point round of more than one query.
+	wideSets   int
+	widePoints []int
 }
 
 func (b *nativeBatchCounter) SetQuery(ids []dataset.ObjectID, g pattern.Group) (bool, error) {
@@ -163,10 +167,16 @@ func (b *nativeBatchCounter) PointQuery(id dataset.ObjectID) ([]int, error) {
 }
 func (b *nativeBatchCounter) SetQueryBatch(reqs []SetRequest) ([]bool, error) {
 	b.batchRounds++
+	if len(reqs) > 1 {
+		b.wideSets++
+	}
 	return b.TruthOracle.SetQueryBatch(reqs)
 }
 func (b *nativeBatchCounter) PointQueryBatch(ids []dataset.ObjectID) ([][]int, error) {
 	b.batchRounds++
+	if len(ids) > 1 {
+		b.widePoints = append(b.widePoints, len(ids))
+	}
 	return b.TruthOracle.PointQueryBatch(ids)
 }
 

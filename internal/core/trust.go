@@ -373,8 +373,8 @@ func (t *TrustOracle) PointQueryBatch(ids []dataset.ObjectID) ([][]int, error) {
 	return t.inner.PointQueryBatch(ids)
 }
 
-// SetQuery implements Oracle as a one-element round, so sequential
-// audit phases stay on the probe schedule too.
+// SetQuery implements Oracle as a one-element round, so a single
+// query stays on the probe schedule too.
 func (t *TrustOracle) SetQuery(ids []dataset.ObjectID, g pattern.Group) (bool, error) {
 	return setOne(t, ids, g, false)
 }

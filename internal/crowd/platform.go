@@ -354,10 +354,18 @@ func (p *Platform) ReverseSetQuery(ids []dataset.ObjectID, g pattern.Group) (boo
 // SetQueryBatch implements core.BatchOracle natively: the whole round
 // is posted under one lock acquisition and answered in request order,
 // so batched audits stay deterministic for a fixed seed regardless of
-// the caller's parallelism.
+// the caller's parallelism. A one-element round, the shape of every
+// sequential set round, allocates no answer slice.
 func (p *Platform) SetQueryBatch(reqs []core.SetRequest) ([]bool, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if len(reqs) == 1 {
+		ans, err := p.setQuery(reqs[0].IDs, reqs[0].Group, reqs[0].Reverse)
+		if err != nil {
+			return nil, err
+		}
+		return answerOne(ans), nil
+	}
 	answers := make([]bool, len(reqs))
 	for i, req := range reqs {
 		ans, err := p.setQuery(req.IDs, req.Group, req.Reverse)
@@ -367,6 +375,19 @@ func (p *Platform) SetQueryBatch(reqs []core.SetRequest) ([]bool, error) {
 		answers[i] = ans
 	}
 	return answers, nil
+}
+
+// oneAnswer backs the answer of a one-element set round: answerOne
+// slices it, capacity-limited, so no round allocates for it. Callers
+// never write into a round's answers (see core.BatchOracle).
+var oneAnswer = [2]bool{false, true}
+
+// answerOne returns ans as a read-only one-element answer slice.
+func answerOne(ans bool) []bool {
+	if ans {
+		return oneAnswer[1:2:2]
+	}
+	return oneAnswer[0:1:1]
 }
 
 // PointQueryBatch implements core.BatchOracle; see SetQueryBatch.

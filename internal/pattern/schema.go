@@ -18,6 +18,7 @@ package pattern
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -40,12 +41,16 @@ type Schema struct {
 
 // NewSchema builds a schema from the given attributes. It returns an
 // error if there are no attributes, if an attribute has fewer than two
-// values, or if attribute or value names repeat.
+// values, if attribute or value names repeat, or if the pattern
+// universe, the product of (cardinality+1) over all attributes, does
+// not fit in an int. NumSubgroups and NumPatterns are therefore exact
+// for every schema.
 func NewSchema(attrs ...Attribute) (*Schema, error) {
 	if len(attrs) == 0 {
 		return nil, errors.New("pattern: schema needs at least one attribute")
 	}
 	seen := make(map[string]bool, len(attrs))
+	patterns := 1
 	for _, a := range attrs {
 		if a.Name == "" {
 			return nil, errors.New("pattern: attribute with empty name")
@@ -67,6 +72,10 @@ func NewSchema(attrs ...Attribute) (*Schema, error) {
 			}
 			vseen[v] = true
 		}
+		if patterns > math.MaxInt/(a.Cardinality()+1) {
+			return nil, fmt.Errorf("pattern: %d attributes make more patterns than an int counts", len(attrs))
+		}
+		patterns *= a.Cardinality() + 1
 	}
 	s := &Schema{attrs: make([]Attribute, len(attrs))}
 	copy(s.attrs, attrs)

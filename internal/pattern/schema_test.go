@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -40,6 +41,39 @@ func TestNewSchemaValidation(t *testing.T) {
 		if _, err := NewSchema(tc.attrs...); err == nil {
 			t.Errorf("%s: want error, got nil", tc.name)
 		}
+	}
+}
+
+// binaryAttrs returns n binary attributes named a0, a1, ...
+func binaryAttrs(n int) []Attribute {
+	attrs := make([]Attribute, n)
+	for i := range attrs {
+		attrs[i] = Attribute{Name: fmt.Sprintf("a%d", i), Values: []string{"0", "1"}}
+	}
+	return attrs
+}
+
+// TestNewSchemaRejectsOverflowingCounts: a schema whose pattern
+// universe does not fit in an int is refused instead of reporting
+// wrapped counts (64 binary attributes once gave NumSubgroups() == 0
+// and NumPatterns() == 8733086111712066817). The largest binary schema
+// that fits, 39 attributes with 3^39 patterns, still builds.
+func TestNewSchemaRejectsOverflowingCounts(t *testing.T) {
+	for _, n := range []int{40, 64} {
+		if s, err := NewSchema(binaryAttrs(n)...); err == nil {
+			t.Errorf("%d binary attributes: NumSubgroups %d, NumPatterns %d, want an error", n, s.NumSubgroups(), s.NumPatterns())
+		}
+	}
+	s, err := NewSchema(binaryAttrs(39)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 1
+	for range 39 {
+		want *= 3
+	}
+	if s.NumPatterns() != want || s.NumSubgroups() != 1<<39 {
+		t.Errorf("39 binary attributes: NumPatterns %d, NumSubgroups %d; want %d and %d", s.NumPatterns(), s.NumSubgroups(), want, 1<<39)
 	}
 }
 
